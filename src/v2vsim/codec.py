@@ -21,7 +21,7 @@ from __future__ import annotations
 import io
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -236,31 +236,29 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
     raw_bits = arr.shape[0] * arr.shape[1] * nchan * 8
     allowed = (1.0 + cfg.rate_tolerance) * ratio * raw_bits
 
-    def attempt(step: float) -> EncodedFrame:
-        step_cfg = CodecConfig(block_size=cfg.block_size, quant_step=float(step),
-                               rd_weight_max=cfg.rd_weight_max,
-                               rd_weight_power=cfg.rd_weight_power,
-                               rate_tolerance=cfg.rate_tolerance)
-        return encode(arr, step_cfg, em)
-
     grid = QUANT_STEP_GRID
-    coarsest = attempt(grid[-1])
+    cache: dict[int, EncodedFrame] = {}
+
+    def attempt(idx: int) -> EncodedFrame:  # encodes each grid step at most once
+        if idx not in cache:
+            cache[idx] = encode(arr, replace(cfg, quant_step=float(grid[idx])), em)
+        return cache[idx]
+
+    coarsest = attempt(len(grid) - 1)
     if coarsest.bit_count > allowed:
         raise BudgetError(
             f"budget {allowed:.1f} bits unreachable: coarsest step "
             f"{grid[-1]:.4g} still needs {coarsest.bit_count:.1f} bits")
 
     lo, hi = 0, len(grid) - 1  # hi is known feasible
-    cache = {len(grid) - 1: coarsest}
     while lo < hi:
         mid = (lo + hi) // 2
-        frame = cache.setdefault(mid, attempt(grid[mid]))
-        if frame.bit_count <= allowed:
+        if attempt(mid).bit_count <= allowed:
             hi = mid
         else:
             lo = mid + 1
     # linear fallback: walk coarser if the boundary step is over budget
-    while cache.setdefault(hi, attempt(grid[hi])).bit_count > allowed:
+    while attempt(hi).bit_count > allowed:
         hi += 1
     return float(grid[hi]), cache[hi]
 

@@ -210,6 +210,23 @@ class TestRateControl:
         assert a[0] == b[0]
         assert a[1].bit_count == b[1].bit_count
 
+    @pytest.mark.parametrize("ratio", [1.0, 0.3, 0.1])
+    def test_encodes_each_step_once(self, generic, monkeypatch, ratio):
+        steps = []
+
+        def counting_encode(img, cfg, em):
+            steps.append(cfg.quant_step)
+            return encode(img, cfg, em)
+
+        monkeypatch.setattr("v2vsim.codec.encode", counting_encode)
+        img = codec_fixture_images()[1]
+        step, frame = rate_control(img, ratio, generic, CodecConfig())
+        assert len(steps) == len(set(steps))
+        assert step in steps
+        direct = encode(img, CodecConfig(quant_step=step), generic)
+        assert frame.bit_count == direct.bit_count
+        assert np.array_equal(frame.qcoeffs, direct.qcoeffs)
+
 
 class TestEntropyModel:
     def test_probabilities_normalized(self, generic):

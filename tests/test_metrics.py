@@ -112,6 +112,24 @@ class TestMsSsim:
         assert reference_ms_ssim(x, y) == pytest.approx(MS_SSIM_GOLDEN, abs=1e-4)
         assert ms_ssim(x, y) == pytest.approx(reference_ms_ssim(x, y), abs=1e-9)
 
+    @pytest.mark.parametrize("shape,scales", [
+        ((181, 197), 5),  # odd, non-square: valid-region edges differ per axis
+        ((40, 40), 2),
+        ((23, 64), 2),
+        ((11, 11), 1),  # exactly one window position
+        ((176, 176, 3), 5),
+    ], ids=["181x197", "40x40", "23x64", "11x11", "176x176x3"])
+    def test_reference_agreement_across_shapes(self, shape, scales):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.random(shape)
+        y = np.clip(x + 0.1 * rng.standard_normal(shape), 0, 1)
+        if len(shape) == 2:
+            expected = reference_ms_ssim(x, y, scales)
+        else:
+            expected = np.mean([reference_ms_ssim(x[:, :, c], y[:, :, c], scales)
+                                for c in range(shape[2])])
+        assert ms_ssim(x, y, scales) == pytest.approx(expected, abs=1e-9)
+
     def test_five_scales_at_176(self):
         assert feasible_scales(176, 176) == 5
         assert feasible_scales(175, 400) == 4
