@@ -11,6 +11,11 @@ the noise term ``N`` depends on ``noise_mode``:
 * ``"psd-times-subband"``: ``noise_level`` is a spectral density in W/Hz and
   is multiplied by the sub-channel bandwidth ``W / c``.
 
+The scalar functions and the fleet-wide matrices evaluate the same NumPy
+expressions (``_gain``, ``_capacity``, ``np.hypot``), so a matrix entry equals
+the single-pair call bit for bit; Python's ``**`` and ``math.hypot`` differ
+from NumPy's ``power`` and ``hypot`` in the last place on some inputs.
+
 All functions here are pure; nothing holds mutable state.
 """
 
@@ -40,6 +45,11 @@ class ChannelParams:
     reference_gain: float = 1.0
 
     def __post_init__(self):
+        for name in ("total_bandwidth_hz", "num_subchannels", "transmit_power_w",
+                     "noise_level", "pathloss_exponent", "reference_distance_m",
+                     "reference_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.total_bandwidth_hz <= 0:
             raise ValidationError("total_bandwidth_hz must be positive")
         if self.num_subchannels < 1 or int(self.num_subchannels) != self.num_subchannels:
@@ -78,7 +88,7 @@ class VehicleNode:
     y: float
 
     def distance_to(self, other: "VehicleNode") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
+        return float(np.hypot(self.x - other.x, self.y - other.y))
 
 
 @dataclass
@@ -109,19 +119,24 @@ class Scenario:
             raise ValidationError("node ids must be unique")
         if self.ego_id not in ids:
             raise ValidationError(f"ego_id {self.ego_id} not among node ids")
+        for node in self.nodes:
+            if not (math.isfinite(node.x) and math.isfinite(node.y)):
+                raise ValidationError(f"node {node.id} coordinates must be finite")
         vol = np.asarray(self.data_volumes_bits, dtype=float)
         n = len(self.nodes)
         if vol.shape != (n, n):
             raise ValidationError(
                 f"data volume matrix must be {n}x{n}, got {vol.shape}")
+        if not np.all(np.isfinite(vol)):
+            raise ValidationError("data volumes must be finite")
         if np.any(vol < 0):
             raise ValidationError("data volumes must be non-negative")
         if np.any(np.diag(vol) != 0):
             raise ValidationError("data volume diagonal must be zero")
         if not (0 < self.beta <= 1):
             raise ValidationError("beta must lie in (0, 1]")
-        if self.distance_scale_m <= 0:
-            raise ValidationError("distance_scale_m must be positive")
+        if not (0 < self.distance_scale_m < math.inf):
+            raise ValidationError("distance_scale_m must be positive and finite")
         if self.min_ego_links < 1:
             raise ValidationError("min_ego_links must be >= 1")
         self.data_volumes_bits = vol
@@ -135,12 +150,23 @@ class Scenario:
         return self._index[self.ego_id]
 
     def distance_matrix(self) -> np.ndarray:
-        n = len(self.nodes)
-        d = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = self.nodes[i].distance_to(self.nodes[j])
-        return d
+        """Pairwise distances; entry (i, j) equals ``nodes[i].distance_to(nodes[j])``."""
+        x = np.array([node.x for node in self.nodes])
+        y = np.array([node.y for node in self.nodes])
+        return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+
+
+def _gain(distance, params: ChannelParams):
+    """Path-loss gain at a distance or an array of distances."""
+    d0 = params.reference_distance_m
+    return params.reference_gain * np.power(d0 / np.maximum(distance, d0),
+                                            params.pathloss_exponent)
+
+
+def _capacity(gain, params: ChannelParams):
+    """Sub-channel Shannon capacity at a gain or an array of gains."""
+    snr = params.transmit_power_w * gain / params.noise_power_w
+    return params.subchannel_bandwidth_hz * np.log2(1.0 + snr)
 
 
 def channel_gain(src: VehicleNode, dst: VehicleNode, params: ChannelParams) -> float:
@@ -150,27 +176,19 @@ def channel_gain(src: VehicleNode, dst: VehicleNode, params: ChannelParams) -> f
     """
     if src.id == dst.id:
         raise ValidationError(f"channel gain undefined for a node paired with itself (id {src.id})")
-    d = src.distance_to(dst)
-    d0 = params.reference_distance_m
-    return params.reference_gain * (d0 / max(d, d0)) ** params.pathloss_exponent
+    return float(_gain(src.distance_to(dst), params))
 
 
 def link_capacity(gain: float, params: ChannelParams) -> float:
     """Shannon capacity in bit/s of one sub-channel at the given gain."""
     if gain < 0:
         raise ValidationError("gain must be non-negative")
-    snr = params.transmit_power_w * gain / params.noise_power_w
-    return params.subchannel_bandwidth_hz * math.log2(1.0 + snr)
+    return float(_capacity(gain, params))
 
 
 def capacity_matrix(scenario: Scenario) -> np.ndarray:
     """Per-pair sub-channel capacities; diagonal entries are zero."""
-    n = len(scenario.nodes)
-    caps = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            gain = channel_gain(scenario.nodes[i], scenario.nodes[j], scenario.channel)
-            caps[i, j] = link_capacity(gain, scenario.channel)
+    params = scenario.channel
+    caps = _capacity(_gain(scenario.distance_matrix(), params), params)
+    np.fill_diagonal(caps, 0.0)
     return caps

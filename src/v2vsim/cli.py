@@ -22,29 +22,12 @@ from .simulate import (manifest_for, plan_csv, plan_matrix_report, simulate,
                        write_outputs)
 
 
-def _solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--learning-rate", type=float, default=0.25)
-    parser.add_argument("--max-iters", type=int, default=600)
-    parser.add_argument("--relaxation-temperature", type=float, default=0.05)
-    parser.add_argument("--rounding-rule", default="top-k-by-score")
-    parser.add_argument("--convergence-tol", type=float, default=1e-9)
-
-
 def _codec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--block-size", type=int, default=8)
     parser.add_argument("--quant-step", type=float, default=0.05)
     parser.add_argument("--rd-weight-max", type=float, default=100.0)
     parser.add_argument("--rd-weight-power", type=float, default=2.0)
     parser.add_argument("--rate-tolerance", type=float, default=0.05)
-
-
-def _solver_config(args, seed: int) -> SolverConfig:
-    return SolverConfig(learning_rate=args.learning_rate,
-                        max_iters=args.max_iters,
-                        relaxation_temperature=args.relaxation_temperature,
-                        rounding_rule=args.rounding_rule,
-                        seed=seed,
-                        convergence_tol=args.convergence_tol)
 
 
 def _codec_config(args) -> CodecConfig:
@@ -62,7 +45,7 @@ def _load_scenario(path: str):
 
 def cmd_plan(args) -> int:
     _, doc = _load_scenario(args.scenario)
-    plan = optimize(doc.scenario, _solver_config(args, args.seed))
+    plan = optimize(doc.scenario, SolverConfig(seed=args.seed))
     issues = validate_plan(plan, doc.scenario)
     if issues:
         raise ValidationError("; ".join(issues))
@@ -136,7 +119,7 @@ def cmd_simulate(args) -> int:
     for node_id, rel in doc.image_paths.items():
         path = Path(rel)
         images[node_id] = read_image(path if path.is_absolute() else base / path)
-    solver_cfg = _solver_config(args, args.seed)
+    solver_cfg = SolverConfig(seed=args.seed)
     codec_cfg = _codec_config(args)
     result = simulate(doc.scenario, images, solver_cfg, codec_cfg,
                       align_alpha=args.alpha, seed=args.seed,
@@ -160,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--scenario", required=True)
     p_plan.add_argument("--seed", type=int, required=True)
     p_plan.add_argument("--outdir", default="plan_out")
-    _solver_flags(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive optimum for small instances")
@@ -195,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--outdir", required=True)
     p_sim.add_argument("--alpha", type=float, default=0.0)
     p_sim.add_argument("--ratio-override", type=float, default=None)
-    _solver_flags(p_sim)
     _codec_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
     return parser

@@ -16,9 +16,26 @@ to keeping only the single fastest link.
 
 For a fixed link selection the delay ``ratio * volume / rate`` is increasing
 in the ratio and decreasing in the rate, so the pointwise optimum is the
-compression floor and the full capacity.  The solver uses that closed form
-for the selected links while a penalized projected-gradient descent on the
-relaxed selection variables decides which links to keep.
+compression floor and the full capacity.  Every candidate link then has a
+fixed delay ``d``, and a plan is a set S of links with mean delay
+``sum(d) / |S|``, at most ``budget = num_subchannels`` links and at least
+``need = min_ego_links`` ego-inbound links.
+
+The solver is exact, by an exchange argument.  Fix the size k and let E be
+the ``need`` cheapest ego-inbound links.  Take any feasible S of size k.
+While some e in E is missing from S, S holds at most need - 1 links of E but
+at least ``need`` ego-inbound links, so it holds an ego-inbound f outside E,
+and delay(f) >= delay(e); swapping f for e keeps S feasible and does not
+raise its sum.  Once E is inside S, the other k - need links of S come from
+the candidates outside E, and the k - need cheapest of those cost no more.
+So E plus those links is optimal at size k, and a scan over k <= budget on
+one delay ordering, with prefix sums, finds the optimum in O(K log K) for K
+candidates.
+
+Ties: where several link sets reach exactly the same average (in practice
+sets that differ in idle pairs, whose zero volume gives delay 0), the plan
+is the one the scan meets first: candidates in (delay, src, dst) order, and
+the smallest k.
 """
 
 from __future__ import annotations
@@ -26,16 +43,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .channel import Scenario, capacity_matrix
+from .channel import Scenario, capacity_matrix, channel_gain, link_capacity
 from .errors import InfeasibleError, SizeError, ValidationError
 
 GAMMA_MIN = 0.05
-
-ROUNDING_RULES = ("top-k-by-score",)
 
 
 @dataclass(frozen=True)
@@ -63,24 +77,13 @@ class CommPlan:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    learning_rate: float = 0.25
-    max_iters: int = 600
-    relaxation_temperature: float = 0.005
-    rounding_rule: str = "top-k-by-score"
-    seed: int = 0
-    convergence_tol: float = 1e-9
+    """Planner settings.
 
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError("learning_rate must be positive")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
-        if self.relaxation_temperature <= 0:
-            raise ValidationError("relaxation_temperature must be positive")
-        if self.rounding_rule not in ROUNDING_RULES:
-            raise ValidationError(f"rounding_rule must be one of {ROUNDING_RULES}")
-        if self.convergence_tol <= 0:
-            raise ValidationError("convergence_tol must be positive")
+    The planner is exact and deterministic: ``seed`` is recorded in the run
+    manifest and changes no plan.
+    """
+
+    seed: int = 0
 
 
 def transmission_delay(ratio: float, volume_bits: float, rate_bps: float) -> float:
@@ -110,7 +113,13 @@ def compression_lower_bound(distance_m: float, beta: float,
         raise ValidationError("distance_scale_m must be positive")
     if not (0 < floor <= 1):
         raise ValidationError("floor must lie in (0, 1]")
-    return max(beta * math.exp(-distance_m / distance_scale_m), floor)
+    return float(_ratio_floor(distance_m, beta, distance_scale_m, floor))
+
+
+def _ratio_floor(distance_m, beta: float, distance_scale_m: float,
+                 floor: float = GAMMA_MIN):
+    """``compression_lower_bound`` without checks, for a distance or an array."""
+    return np.maximum(beta * np.exp(-distance_m / distance_scale_m), floor)
 
 
 def average_delay(plan: CommPlan) -> float:
@@ -121,180 +130,90 @@ def average_delay(plan: CommPlan) -> float:
     return float((plan.link_matrix * plan.delays).sum() / count)
 
 
-class LinkCandidate(NamedTuple):
-    src: int
-    dst: int
-    capacity_bps: float
-    distance_m: float
-    ratio_floor: float
-    delay_s: float  # delay at the pointwise optimum (floor ratio, full capacity)
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Positive-capacity links as parallel arrays, in row-major (src, dst) order.
+
+    ``delay_s`` is the delay at the pointwise optimum (floor ratio, full
+    capacity).
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    capacity_bps: np.ndarray
+    distance_m: np.ndarray
+    ratio_floor: np.ndarray
+    delay_s: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.src)
 
 
-def _candidates(scenario: Scenario) -> list[LinkCandidate]:
+def _candidates(scenario: Scenario) -> Candidates:
     caps = capacity_matrix(scenario)
     dists = scenario.distance_matrix()
-    vols = scenario.data_volumes_bits
-    out: list[LinkCandidate] = []
-    n = len(scenario.nodes)
-    for i in range(n):
-        for j in range(n):
-            if i == j or caps[i, j] <= 0.0:
-                continue
-            lb = compression_lower_bound(
-                dists[i, j], scenario.beta, scenario.distance_scale_m)
-            delay = lb * vols[i, j] / caps[i, j]
-            out.append(LinkCandidate(i, j, caps[i, j], dists[i, j], lb, delay))
-    return out
+    src, dst = np.nonzero(caps > 0.0)  # the diagonal is zero
+    cap = caps[src, dst]
+    dist = dists[src, dst]
+    floor = _ratio_floor(dist, scenario.beta, scenario.distance_scale_m)
+    delay = floor * scenario.data_volumes_bits[src, dst] / cap
+    return Candidates(src, dst, cap, dist, floor, delay)
 
 
-def _check_feasible(scenario: Scenario, candidates: list[LinkCandidate]) -> None:
+def _check_feasible(scenario: Scenario, candidates: Candidates) -> None:
     budget = scenario.channel.num_subchannels
     need = scenario.min_ego_links
     if need > budget:
         raise InfeasibleError(
             f"link budget violated before planning: num_subchannels={budget} "
             f"cannot host min_ego_links={need}")
-    ego = scenario.ego_index
-    inbound = sum(1 for c in candidates if c.dst == ego)
+    inbound = int(np.count_nonzero(candidates.dst == scenario.ego_index))
     if inbound < need:
         raise InfeasibleError(
             f"ego connectivity: only {inbound} positive-capacity links reach "
             f"the ego vehicle, min_ego_links={need}")
 
 
-def _plan_from_selection(scenario: Scenario,
-                         candidates: list[LinkCandidate],
-                         selection: list[int]) -> CommPlan:
+def _plan_from_selection(scenario: Scenario, candidates: Candidates,
+                         selection) -> CommPlan:
     n = len(scenario.nodes)
+    src, dst = candidates.src[selection], candidates.dst[selection]
     link = np.zeros((n, n), dtype=int)
     ratio = np.ones((n, n))
     rates = np.zeros((n, n))
     delays = np.zeros((n, n))
-    vols = scenario.data_volumes_bits
-    for k in selection:
-        c = candidates[k]
-        link[c.src, c.dst] = 1
-        ratio[c.src, c.dst] = c.ratio_floor
-        rates[c.src, c.dst] = c.capacity_bps
-        delays[c.src, c.dst] = ratio[c.src, c.dst] * vols[c.src, c.dst] / rates[c.src, c.dst]
+    link[src, dst] = 1
+    ratio[src, dst] = candidates.ratio_floor[selection]
+    rates[src, dst] = candidates.capacity_bps[selection]
+    delays[src, dst] = candidates.delay_s[selection]
     avg = float((link * delays).sum() / link.sum())
     return CommPlan(link, ratio, rates, delays, avg)
-
-
-def _relaxed_descent(candidates: list[LinkCandidate], budget: int, need: int,
-                     ego: int, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Penalized projected-gradient descent on relaxed selections and ratios.
-
-    Constraint handling, one device per family: the link budget and the ego
-    floor enter as quadratic penalties on the relaxed selection variables;
-    the rate cap is eliminated analytically (rates pinned at capacity, delay
-    is decreasing in rate); the compression floor is enforced by projecting
-    the ratios onto their feasible box after every step.
-    """
-    k = len(candidates)
-    floors = np.array([c.ratio_floor for c in candidates])
-    # delay per unit ratio, i.e. volume / capacity
-    per_ratio = np.array([c.delay_s / c.ratio_floor if c.ratio_floor > 0 else 0.0
-                          for c in candidates])
-    # normalize so floor-ratio delays are O(1); keeps the objective gradient
-    # comparable to the fixed penalty weights across instances
-    floor_delays = np.array([c.delay_s for c in candidates])
-    scale = floor_delays.max() if floor_delays.max() > 0 else 1.0
-    per_ratio_n = per_ratio / scale
-
-    rng = np.random.default_rng(cfg.seed)
-    g = np.full(k, min(0.5, budget / (2.0 * k))) + rng.uniform(-0.01, 0.01, size=k)
-    g = np.clip(g, 0.0, 1.0)
-    ratios = np.ones(k)
-    ego_mask = np.array([c.dst == ego for c in candidates])
-    ego_count = max(int(ego_mask.sum()), 1)
-    penalty = 1.0
-
-    for _ in range(cfg.max_iters):
-        total = max(g.sum(), 1e-9)
-        delays_n = ratios * per_ratio_n
-        mean_n = float((g * delays_n).sum() / total)
-
-        grad_g = (delays_n - mean_n) / total
-        # penalties are spread per capita; the collective correction per step
-        # stays below the violation, so the dynamics contract instead of
-        # flip-flopping across the constraint boundary
-        over = max(0.0, g.sum() - budget)
-        grad_g = grad_g + 2.0 * penalty * over / k
-        short = max(0.0, need - g[ego_mask].sum())
-        grad_g[ego_mask] -= 2.0 * penalty * short / ego_count
-        # temperature term pushes borderline selections toward {0, 1}
-        grad_g = grad_g + cfg.relaxation_temperature * (1.0 - 2.0 * g)
-
-        grad_r = g * per_ratio_n / total
-
-        g_new = np.clip(g - cfg.learning_rate * grad_g, 0.0, 1.0)
-        ratios_new = np.clip(ratios - cfg.learning_rate * grad_r, floors, 1.0)
-        step = max(np.abs(g_new - g).max(), np.abs(ratios_new - ratios).max())
-        g, ratios = g_new, ratios_new
-        if step < cfg.convergence_tol:
-            break
-    return g, ratios
 
 
 def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
     """Plan links and compression ratios minimizing the average delay.
 
-    Deterministic for a fixed (scenario, config, seed).  Raises
-    InfeasibleError when no selection can satisfy the link budget and the
-    ego-link floor.
+    Exact and deterministic (see the module docstring); ``cfg`` changes no
+    plan, its seed is only recorded in run manifests.  Raises InfeasibleError
+    when no selection can satisfy the link budget and the ego-link floor.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     if len(scenario.nodes) < 2:
         raise InfeasibleError("planning needs at least two nodes")
     candidates = _candidates(scenario)
     _check_feasible(scenario, candidates)
     budget = scenario.channel.num_subchannels
     need = scenario.min_ego_links
-    ego = scenario.ego_index
 
-    # The descended ratios live in [floor, 1] by projection and slide toward
-    # the floor on any link carrying data; the final plan pins them at the
-    # floor, the closed-form optimum.
-    scores, _ = _relaxed_descent(candidates, budget, need, ego, cfg)
-
-    # top-k-by-score rounding: grow the score-ordered prefix (ego links first
-    # until the floor is met) and keep the prefix size with the lowest exact
-    # average.  Degenerate instances can leave the relaxed scores tied or
-    # mid-range, so the same prefix search is repeated on the analytic
-    # delay ordering as a cross-check and the better plan wins; ties go to
-    # the descent's choice.
-    score_order = sorted(range(len(candidates)),
-                         key=lambda k: (-scores[k], candidates[k].delay_s,
-                                        candidates[k].src, candidates[k].dst))
-    delay_order = sorted(range(len(candidates)),
-                         key=lambda k: (candidates[k].delay_s,
-                                        candidates[k].src, candidates[k].dst))
-    sel_score, avg_score = _best_prefix(candidates, score_order, budget, need, ego)
-    sel_delay, avg_delay = _best_prefix(candidates, delay_order, budget, need, ego)
-    best_sel = sel_score if avg_score <= avg_delay else sel_delay
-    return _plan_from_selection(scenario, candidates, best_sel)
-
-
-def _best_prefix(candidates: list[LinkCandidate], order: list[int],
-                 budget: int, need: int, ego: int) -> tuple[list[int], float]:
-    """Best selection among prefixes of ``order`` with the ego floor enforced."""
-    ego_ordered = [k for k in order if candidates[k].dst == ego]
-    forced = ego_ordered[:need]
-    forced_set = set(forced)
-    rest = [k for k in order if k not in forced_set]
-    best_sel: list[int] | None = None
-    best_avg = math.inf
-    for extra in range(0, budget - need + 1):
-        if extra > len(rest):
-            break
-        sel = forced + rest[:extra]
-        avg = sum(candidates[k].delay_s for k in sel) / len(sel)
-        if avg < best_avg:
-            best_sel, best_avg = sel, avg
-    assert best_sel is not None
-    return best_sel, best_avg
+    order = np.lexsort((candidates.dst, candidates.src, candidates.delay_s))
+    ego_rank = np.flatnonzero(candidates.dst[order] == scenario.ego_index)[:need]
+    rest = np.delete(order, ego_rank)[:budget - need]
+    prefix = np.concatenate((order[ego_rank], rest))
+    # average of the first k links for k = need .. len(prefix); argmin keeps
+    # the smallest k among equal averages
+    averages = (np.cumsum(candidates.delay_s[prefix])[need - 1:]
+                / np.arange(need, len(prefix) + 1))
+    size = need + int(np.argmin(averages))
+    return _plan_from_selection(scenario, candidates, prefix[:size])
 
 
 def exhaustive_optimum(scenario: Scenario) -> CommPlan:
@@ -314,14 +233,16 @@ def exhaustive_optimum(scenario: Scenario) -> CommPlan:
     need = scenario.min_ego_links
     ego = scenario.ego_index
 
+    delays = candidates.delay_s.tolist()
+    inbound = (candidates.dst == ego).tolist()
     best_sel: tuple[int, ...] | None = None
     best_avg = math.inf
     max_size = min(budget, len(candidates))
     for size in range(max(1, need), max_size + 1):
         for combo in itertools.combinations(range(len(candidates)), size):
-            if sum(1 for k in combo if candidates[k].dst == ego) < need:
+            if sum(inbound[k] for k in combo) < need:
                 continue
-            avg = sum(candidates[k].delay_s for k in combo) / size
+            avg = sum(delays[k] for k in combo) / size
             if avg < best_avg:
                 best_sel, best_avg = combo, avg
     if best_sel is None:
@@ -333,10 +254,11 @@ def validate_plan(plan: CommPlan, scenario: Scenario,
                   rel_tol: float = 1e-9) -> list[str]:
     """Independently re-derive every constraint and report violations.
 
-    Capacities, distances and ratio floors are recomputed from the scenario
-    rather than trusted from the plan.  Returns a list of human-readable
-    violation strings; an empty list means the plan is valid.  ``rel_tol``
-    absorbs float round-off in the exponential bound and the rate cap.
+    Capacities, distances and ratio floors of the selected links are
+    recomputed from the scenario rather than trusted from the plan.  Returns
+    a list of human-readable violation strings; an empty list means the plan
+    is valid.  ``rel_tol`` absorbs float round-off in the exponential bound
+    and the rate cap.
     """
     issues: list[str] = []
     n = len(scenario.nodes)
@@ -359,19 +281,22 @@ def validate_plan(plan: CommPlan, scenario: Scenario,
             f"ego floor violated: {int(g[:, ego].sum())} inbound links < "
             f"{scenario.min_ego_links} required")
 
-    caps = capacity_matrix(scenario)
-    dists = scenario.distance_matrix()
+    nodes, params = scenario.nodes, scenario.channel
     vols = scenario.data_volumes_bits
     for i, j in zip(*np.nonzero(g)):
+        if i == j:
+            continue  # reported above as a diagonal entry
         rate = plan.rates[i, j]
         ratio = plan.compression[i, j]
         if rate <= 0:
             issues.append(f"link ({i},{j}): rate must be positive on a selected link")
             continue
-        if rate > caps[i, j] * (1 + rel_tol):
+        cap = link_capacity(channel_gain(nodes[i], nodes[j], params), params)
+        dist = nodes[i].distance_to(nodes[j])
+        if rate > cap * (1 + rel_tol):
             issues.append(
-                f"link ({i},{j}): rate {rate:.6g} exceeds capacity {caps[i, j]:.6g}")
-        bound = ratio * math.exp(dists[i, j] / scenario.distance_scale_m)
+                f"link ({i},{j}): rate {rate:.6g} exceeds capacity {cap:.6g}")
+        bound = ratio * math.exp(dist / scenario.distance_scale_m)
         if bound < scenario.beta * (1 - rel_tol):
             issues.append(
                 f"link ({i},{j}): compression floor violated "

@@ -4,7 +4,7 @@ Format (version 1): one `key value` pair per line, `#` comments and blank
 lines ignored, unknown keys rejected.  Nodes are declared with
 `node <id> <x> <y>`; the data-volume matrix sits between `volumes` and `end`
 lines, one row per node in declaration order.  Optional `image <id> <path>`
-lines attach a picture to a node.
+lines attach a picture to a node.  Every float must be finite.
 
     version 1
     bandwidth_hz 20e6
@@ -30,6 +30,7 @@ lines attach a picture to a node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,17 +38,26 @@ import numpy as np
 from .channel import ChannelParams, Scenario, VehicleNode
 from .errors import ParseError, ValidationError
 
+
+def _finite(token: str) -> float:
+    """A float token; ``nan`` and ``inf`` raise ValueError like a bad token."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
 SCALAR_KEYS = {
-    "bandwidth_hz": float,
+    "bandwidth_hz": _finite,
     "subchannels": int,
-    "tx_power_w": float,
-    "noise": float,
+    "tx_power_w": _finite,
+    "noise": _finite,
     "noise_mode": str,
-    "pathloss_exponent": float,
-    "reference_distance_m": float,
-    "reference_gain": float,
-    "beta": float,
-    "distance_scale_m": float,
+    "pathloss_exponent": _finite,
+    "reference_distance_m": _finite,
+    "reference_gain": _finite,
+    "beta": _finite,
+    "distance_scale_m": _finite,
     "min_ego_links": int,
     "ego": int,
 }
@@ -102,9 +112,9 @@ def parse_scenario_document(text: str) -> ScenarioDocument:
                 volumes_done = True
                 continue
             try:
-                row = [float(tok) for tok in parts]
+                row = [_finite(tok) for tok in parts]
             except ValueError:
-                raise ParseError(line_no, f"non-numeric volume entry in {line!r}")
+                raise ParseError(line_no, f"non-numeric or non-finite volume entry in {line!r}")
             if len(row) != len(nodes):
                 raise ParseError(
                     line_no, f"volume row has {len(row)} entries, need {len(nodes)}")
@@ -121,7 +131,8 @@ def parse_scenario_document(text: str) -> ScenarioDocument:
             if len(parts) != 4:
                 raise ParseError(line_no, "node lines need: node <id> <x> <y>")
             try:
-                node = VehicleNode(id=int(parts[1]), x=float(parts[2]), y=float(parts[3]))
+                node = VehicleNode(id=int(parts[1]), x=_finite(parts[2]),
+                                   y=_finite(parts[3]))
             except ValueError:
                 raise ParseError(line_no, f"bad node declaration {line!r}")
             if any(n.id == node.id for n in nodes):

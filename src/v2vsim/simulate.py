@@ -179,7 +179,7 @@ def plan_matrix_report(plan: CommPlan) -> str:
 
     def block(title: str, matrix: np.ndarray, fmt: str) -> None:
         out.append(title)
-        for row in matrix:
+        for row in matrix.tolist():
             out.append(" ".join(format(v, fmt) for v in row))
         out.append("")
 

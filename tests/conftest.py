@@ -59,3 +59,20 @@ def symmetric_three_node(basic_params):
         beta=0.8,
         min_ego_links=2,
     )
+
+
+@pytest.fixture
+def fleet_40(basic_params):
+    """A seeded 40-node fleet over 600 m x 600 m with 20% idle pairs."""
+    rng = np.random.default_rng(40)
+    xy = rng.uniform(-300.0, 300.0, size=(40, 2))
+    volumes = rng.uniform(1e5, 2e7, size=(40, 40))
+    volumes[rng.random((40, 40)) < 0.2] = 0.0
+    np.fill_diagonal(volumes, 0.0)
+    return Scenario(
+        nodes=[VehicleNode(k, float(x), float(y)) for k, (x, y) in enumerate(xy)],
+        ego_id=0,
+        data_volumes_bits=volumes,
+        channel=basic_params,
+        beta=0.8,
+    )

@@ -29,7 +29,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_solver_tracks_oracle():
     t0 = time.perf_counter()
-    within = 0
+    exact = 0
     violations = 0
     for seed in range(100):
         scenario = random_scenario(seed, max_nodes=4, max_subchannels=4)
@@ -37,15 +37,11 @@ def test_criterion_1_solver_tracks_oracle():
         oracle = exhaustive_optimum(scenario)
         if validate_plan(plan, scenario):
             violations += 1
-        if oracle.avg_delay_s == 0.0:
-            close = plan.avg_delay_s == 0.0
-        else:
-            close = plan.avg_delay_s <= 1.05 * oracle.avg_delay_s
-        within += close
+        exact += plan.avg_delay_s == oracle.avg_delay_s
     elapsed = time.perf_counter() - t0
-    ok = within >= 95 and violations == 0 and elapsed < 60.0
+    ok = exact == 100 and violations == 0 and elapsed < 60.0
     report("criterion 1 (oracle equivalence)", ok,
-           f"{within}/100 within 5%, {violations} constraint violations, "
+           f"{exact}/100 equal to the oracle, {violations} constraint violations, "
            f"{elapsed:.1f}s")
 
 

@@ -145,6 +145,24 @@ class TestCapacityMatrix:
                     gain = channel_gain(nodes[i], nodes[j], basic_params)
                     assert caps[i, j] == link_capacity(gain, basic_params)
 
+    def test_every_entry_equals_single_pair_calls(self, fleet_40):
+        # the matrix and the scalar calls evaluate one NumPy formula, so they
+        # agree bit for bit; math's pow and log2 differ in the last place
+        caps = capacity_matrix(fleet_40)
+        params = fleet_40.channel
+        for i, a in enumerate(fleet_40.nodes):
+            for j, b in enumerate(fleet_40.nodes):
+                if i != j:
+                    assert caps[i, j] == link_capacity(channel_gain(a, b, params), params)
+
+
+class TestDistanceMatrix:
+    def test_every_entry_equals_distance_to(self, fleet_40):
+        d = fleet_40.distance_matrix()
+        for i, a in enumerate(fleet_40.nodes):
+            for j, b in enumerate(fleet_40.nodes):
+                assert d[i, j] == a.distance_to(b)
+
 
 class TestValidation:
     @pytest.mark.parametrize("field,value", [
@@ -156,6 +174,13 @@ class TestValidation:
         ("reference_distance_m", 0.0),
         ("reference_gain", 0.0),
         ("noise_mode", "bogus"),
+        ("total_bandwidth_hz", math.nan),
+        ("transmit_power_w", math.inf),
+        ("noise_level", math.nan),
+        ("pathloss_exponent", math.inf),
+        ("reference_distance_m", math.inf),
+        ("reference_gain", math.nan),
+        ("num_subchannels", math.inf),
     ])
     def test_bad_channel_params(self, field, value):
         with pytest.raises(ValidationError):
@@ -185,3 +210,18 @@ class TestValidation:
             Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, 1.0, 0.0)],
                      ego_id=0, data_volumes_bits=np.zeros((2, 2)),
                      channel=basic_params, beta=beta)
+
+    @pytest.mark.parametrize("field,value", [
+        ("x", math.inf), ("y", math.nan), ("volume", math.nan),
+        ("volume", math.inf), ("beta", math.nan),
+        ("distance_scale_m", math.nan), ("distance_scale_m", math.inf),
+    ])
+    def test_scenario_rejects_non_finite(self, basic_params, field, value):
+        v = {"x": 1.0, "y": 0.0, "volume": 0.0, "beta": 0.5,
+             "distance_scale_m": 100.0, field: value}
+        volumes = np.zeros((2, 2))
+        volumes[1, 0] = v["volume"]
+        with pytest.raises(ValidationError):
+            Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, v["x"], v["y"])],
+                     ego_id=0, data_volumes_bits=volumes, channel=basic_params,
+                     beta=v["beta"], distance_scale_m=v["distance_scale_m"])

@@ -14,10 +14,10 @@ from v2vsim.errors import ValidationError
 from v2vsim.fourier import align
 from v2vsim.image_io import read_image, write_image
 from v2vsim.metrics import REPORT_HEADER, mse, psnr
-from v2vsim.planner import SolverConfig, validate_plan
+from v2vsim.planner import CommPlan, SolverConfig, validate_plan
 from v2vsim.scenario_io import format_scenario
-from v2vsim.simulate import (LINKS_HEADER, manifest_for, simulate,
-                             write_outputs)
+from v2vsim.simulate import (LINKS_HEADER, manifest_for, plan_matrix_report,
+                             simulate, write_outputs)
 from v2vsim.synth import gradient_image, sine_image
 
 
@@ -160,6 +160,21 @@ class TestSimulate:
         assert (tmp_path / "links.csv").read_text().splitlines()[0] == LINKS_HEADER
 
 
+def test_plan_matrix_report_formats_each_element():
+    rng = np.random.default_rng(6)
+    n = 9
+    link = (rng.random((n, n)) < 0.3).astype(int)
+    plan = CommPlan(link, rng.random((n, n)), 10 ** rng.uniform(-3, 9, (n, n)),
+                    link * 10 ** rng.uniform(-12, 3, (n, n)), 0.5)
+    lines = plan_matrix_report(plan).splitlines()
+    blocks = ((plan.link_matrix, "d"), (plan.compression, ".6f"),
+              (plan.rates, ".6g"), (plan.delays, ".9g"))
+    for b, (matrix, fmt) in enumerate(blocks):
+        first = b * (n + 2) + 1
+        assert lines[first:first + n] == [" ".join(format(v, fmt) for v in row)
+                                          for row in matrix]
+
+
 @pytest.fixture
 def scenario_dir(tmp_path):
     img1 = gradient_image()
@@ -198,6 +213,25 @@ class TestCli:
         rc = main(["plan", "--scenario", str(bad), "--seed", "1",
                    "--outdir", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("prefix,line", [
+        ("bandwidth_hz", "bandwidth_hz nan"),
+        ("tx_power_w", "tx_power_w inf"),
+        ("beta", "beta nan"),
+        ("distance_scale_m", "distance_scale_m inf"),
+        ("node 1", "node 1 inf 40"),
+        ("8000000 0", "nan 0"),
+    ])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, prefix, line):
+        lines = format_scenario(two_node(8e6)).splitlines()
+        edited = [line if old.startswith(prefix) else old for old in lines]
+        assert edited != lines
+        path = tmp_path / "scene.scn"
+        path.write_text("\n".join(edited) + "\n")
+        rc = main(["plan", "--scenario", str(path), "--seed", "1",
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"line {edited.index(line) + 1}:" in capsys.readouterr().err
 
     def test_infeasible_exits_3(self, tmp_path):
         params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=1,
