@@ -1,9 +1,10 @@
 """Block-transform codec with an adaptive rate-distortion contract.
 
-The coding chain is a blockwise orthonormal cosine transform followed by
-uniform scalar quantization.  Bit counts are information-theoretic estimates,
-the sum of ``-log2 p(symbol)`` under a symbol-frequency entropy model, not an
-arithmetic-coded bitstream.  Two model flavors exist:
+The coding chain is a blockwise orthonormal cosine transform (DCT-II, applied
+to every block as the matrix product ``C @ block @ C.T`` in NumPy) followed
+by uniform scalar quantization.  Bit counts are information-theoretic
+estimates, the sum of ``-log2 p(symbol)`` under a symbol-frequency entropy
+model, not an arithmetic-coded bitstream.  Two model flavors exist:
 
 * a generic prior whose pseudo-counts decay polynomially with symbol
   magnitude, so small coefficients are cheap and large ones cost roughly
@@ -12,19 +13,21 @@ arithmetic-coded bitstream.  Two model flavors exist:
   (``refine_model``), which exploit redundancy across similar frames.
 
 The planner's compression ratio maps to a bit budget via ``rate_control``:
-``target = ratio * 8 bits per pixel per channel``, met by searching the
-quantization-step grid for the finest step within tolerance.
+``target = ratio * 8 bits per pixel per channel``, met by a binary search
+over the quantization-step grid.  The transform does not depend on the step,
+so ``rate_control`` transforms the image once and only requantizes and
+prices it at each step it tries.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .errors import BudgetError, ValidationError
 from .fourier import check_image
@@ -114,7 +117,8 @@ class EntropyModel:
 
     def bits_for_symbols(self, symbols: np.ndarray) -> float:
         """Estimated bits: sum of -log2 p over (alphabet-clipped) symbols."""
-        idx = self.clip_symbols(np.asarray(symbols)).astype(np.int64) + self.radius
+        idx = self.clip_symbols(np.asarray(symbols)).astype(np.int64, copy=False)
+        idx += self.radius  # in place: clipping already made a copy
         return float(-self._log2_prob[idx.ravel()].sum())
 
 
@@ -137,46 +141,54 @@ class EncodedFrame:
     block_size: int
 
 
-def _pad_to_blocks(chan: np.ndarray, block: int) -> np.ndarray:
-    h, w = chan.shape
-    ph = (-h) % block
-    pw = (-w) % block
-    if ph or pw:
-        chan = np.pad(chan, ((0, ph), (0, pw)), mode="edge")
-    return chan
+@functools.cache
+def _dct_basis(block: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix C (rows are basis vectors), read-only."""
+    k = np.arange(block)[:, None]
+    i = np.arange(block)[None, :]
+    c = math.sqrt(2.0 / block) * np.cos(math.pi * (2 * i + 1) * k / (2 * block))
+    c[0] = math.sqrt(1.0 / block)
+    c.setflags(write=False)
+    return c
 
 
-def _blockwise(chan: np.ndarray, block: int, forward: bool) -> np.ndarray:
-    h, w = chan.shape
-    tiles = chan.reshape(h // block, block, w // block, block)
-    fn = dctn if forward else idctn
-    return fn(tiles, axes=(1, 3), norm="ortho").reshape(h, w)
+def _blockwise(x: np.ndarray, block: int, forward: bool) -> np.ndarray:
+    """Block DCT (``C @ tile @ C.T``) or its inverse (``C.T @ tile @ C``) of
+    every block x block tile over the first two axes; a trailing channel axis
+    is kept.  All tiles of all channels go through one batched matmul."""
+    h, w = x.shape[:2]
+    c = _dct_basis(block) if forward else _dct_basis(block).T
+    # (rows, i, cols, j, channel) -> (channel, rows, cols, i, j)
+    tiles = x.reshape(h // block, block, w // block, block, -1).transpose(4, 0, 2, 1, 3)
+    return (c @ tiles @ c.T).transpose(1, 3, 2, 4, 0).reshape(x.shape)
 
 
-def encode(img: np.ndarray, cfg: CodecConfig, em: EntropyModel) -> EncodedFrame:
-    """Transform, quantize, and price an image under the entropy model."""
+def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The checked image and its block-DCT coefficients, laid out like the
+    edge-padded image: (padH, padW) or (padH, padW, channels)."""
     arr = np.asarray(img, dtype=float)
     if arr.size == 0:
         raise ValidationError("cannot encode a zero-sized image")
     arr = check_image(arr)
-    if arr.ndim == 2:
-        channels = [arr]
-        nchan = 1
-    else:
-        nchan = arr.shape[2]
-        channels = [arr[:, :, c] for c in range(nchan)]
+    h, w = arr.shape[:2]
+    pad = ((0, (-h) % block), (0, (-w) % block)) + ((0, 0),) * (arr.ndim - 2)
+    return arr, _blockwise(np.pad(arr, pad, mode="edge"), block, forward=True)
 
-    quantized = []
-    for chan in channels:
-        padded = _pad_to_blocks(chan, cfg.block_size)
-        coeffs = _blockwise(padded, cfg.block_size, forward=True)
-        quantized.append(np.round(coeffs / cfg.quant_step).astype(np.int64))
-    q = quantized[0] if nchan == 1 else np.stack(quantized, axis=-1)
-    bits = em.bits_for_symbols(q)
-    return EncodedFrame(qcoeffs=q, quant_step=cfg.quant_step,
-                        model_id=em.model_id, bit_count=bits,
+
+def _quantize_and_price(arr: np.ndarray, coeffs: np.ndarray, step: float,
+                        block: int, em: EntropyModel) -> EncodedFrame:
+    q = np.round(coeffs / step).astype(np.int64)
+    return EncodedFrame(qcoeffs=q, quant_step=step, model_id=em.model_id,
+                        bit_count=em.bits_for_symbols(q),
                         height=arr.shape[0], width=arr.shape[1],
-                        channels=nchan, block_size=cfg.block_size)
+                        channels=1 if arr.ndim == 2 else arr.shape[2],
+                        block_size=block)
+
+
+def encode(img: np.ndarray, cfg: CodecConfig, em: EntropyModel) -> EncodedFrame:
+    """Transform, quantize, and price an image under the entropy model."""
+    arr, coeffs = _transform(img, cfg.block_size)
+    return _quantize_and_price(arr, coeffs, cfg.quant_step, cfg.block_size, em)
 
 
 def decode(frame: EncodedFrame) -> np.ndarray:
@@ -187,14 +199,8 @@ def decode(frame: EncodedFrame) -> np.ndarray:
     if q.shape[:2] != expected_pad:
         raise ValidationError(
             f"coefficient layout {q.shape[:2]} does not match padded dims {expected_pad}")
-    chans = [q] if frame.channels == 1 else [q[:, :, c] for c in range(frame.channels)]
-    out = []
-    for chan in chans:
-        coeffs = chan.astype(float) * frame.quant_step
-        rec = _blockwise(coeffs, frame.block_size, forward=False)
-        out.append(rec[:frame.height, :frame.width])
-    img = out[0] if frame.channels == 1 else np.stack(out, axis=-1)
-    return np.clip(img, 0.0, 1.0)
+    rec = _blockwise(q * frame.quant_step, frame.block_size, forward=False)
+    return np.clip(rec[:frame.height, :frame.width], 0.0, 1.0)
 
 
 def distortion_weight(ratio: float, cfg: CodecConfig) -> float:
@@ -221,46 +227,42 @@ def rd_cost(img: np.ndarray, frame: EncodedFrame, ratio: float,
 
 def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
                  cfg: CodecConfig) -> tuple[float, EncodedFrame]:
-    """Pick the finest grid step whose bit estimate fits the ratio's budget.
+    """Pick a grid step whose bit estimate fits the ratio's budget.
 
     The budget is ``ratio * pixels * channels * 8`` bits with
-    ``rate_tolerance`` relative slack.  Bit counts are non-increasing in the
-    step for magnitude-monotone models, so a binary search over the grid
-    locates the finest feasible step; a linear fallback guards the rare
-    non-monotone trained model.
+    ``rate_tolerance`` relative slack.  The image is transformed once; a
+    binary search over the grid then requantizes and prices it per step.  The
+    returned step fits the budget and the next finer grid step (if any) does
+    not, so it is the finest feasible step whenever bit counts are
+    non-increasing in the step.  The frame equals ``encode`` at that step.
     """
     if not (0 < ratio <= 1):
         raise ValidationError("ratio must lie in (0, 1]")
-    arr = check_image(img)
-    nchan = 1 if arr.ndim == 2 else arr.shape[2]
-    raw_bits = arr.shape[0] * arr.shape[1] * nchan * 8
-    allowed = (1.0 + cfg.rate_tolerance) * ratio * raw_bits
+    arr, coeffs = _transform(img, cfg.block_size)
+    allowed = (1.0 + cfg.rate_tolerance) * ratio * (arr.size * 8)
 
     grid = QUANT_STEP_GRID
-    cache: dict[int, EncodedFrame] = {}
 
-    def attempt(idx: int) -> EncodedFrame:  # encodes each grid step at most once
-        if idx not in cache:
-            cache[idx] = encode(arr, replace(cfg, quant_step=float(grid[idx])), em)
-        return cache[idx]
+    def attempt(idx: int) -> EncodedFrame:
+        return _quantize_and_price(arr, coeffs, float(grid[idx]), cfg.block_size, em)
 
-    coarsest = attempt(len(grid) - 1)
-    if coarsest.bit_count > allowed:
+    best = attempt(len(grid) - 1)
+    if best.bit_count > allowed:
         raise BudgetError(
             f"budget {allowed:.1f} bits unreachable: coarsest step "
-            f"{grid[-1]:.4g} still needs {coarsest.bit_count:.1f} bits")
+            f"{grid[-1]:.4g} still needs {best.bit_count:.1f} bits")
 
-    lo, hi = 0, len(grid) - 1  # hi is known feasible
+    # each mid lies in [lo, hi) and leaves that range once tried, so no step
+    # is priced twice; only the frame at hi is kept
+    lo, hi = 0, len(grid) - 1  # hi is feasible; lo - 1, if tried, is not
     while lo < hi:
         mid = (lo + hi) // 2
-        if attempt(mid).bit_count <= allowed:
-            hi = mid
+        frame = attempt(mid)
+        if frame.bit_count <= allowed:
+            hi, best = mid, frame
         else:
             lo = mid + 1
-    # linear fallback: walk coarser if the boundary step is over budget
-    while attempt(hi).bit_count > allowed:
-        hi += 1
-    return float(grid[hi]), cache[hi]
+    return float(grid[hi]), best
 
 
 def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
@@ -319,7 +321,23 @@ def deserialize_frame(data: bytes, em: EntropyModel | None = None) -> EncodedFra
         raise ValidationError(f"unsupported container version {version}")
     height, width, pad_h, pad_w = struct.unpack("<HHHH", data[8:16])
     (quant_step,) = struct.unpack("<d", data[16:24])
-    model_id = data[24:24 + id_len].decode("utf-8")
+    if channels not in (1, 3):
+        raise ValidationError(f"channel count must be 1 or 3, got {channels}")
+    if block_size < 1:
+        raise ValidationError("block size must be >= 1")
+    if height < 1 or width < 1:
+        raise ValidationError(f"height and width must be >= 1, got {height}x{width}")
+    expected_pad = (height + (-height) % block_size, width + (-width) % block_size)
+    if (pad_h, pad_w) != expected_pad:
+        raise ValidationError(
+            f"padded dims {pad_h}x{pad_w} are not {height}x{width} rounded up "
+            f"to the block size {block_size}")
+    if not (math.isfinite(quant_step) and quant_step > 0):
+        raise ValidationError(f"quantization step must be finite and positive, got {quant_step}")
+    try:
+        model_id = data[24:24 + id_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"model id is not valid UTF-8: {exc}") from None
     payload = data[24 + id_len:]
     expected = pad_h * pad_w * channels * 2
     if len(payload) != expected:

@@ -204,7 +204,9 @@ def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
     budget = scenario.channel.num_subchannels
     need = scenario.min_ego_links
 
-    order = np.lexsort((candidates.dst, candidates.src, candidates.delay_s))
+    # candidates come in row-major (src, dst) order, so a stable sort on
+    # delay alone orders them by (delay, src, dst)
+    order = np.argsort(candidates.delay_s, kind="stable")
     ego_rank = np.flatnonzero(candidates.dst[order] == scenario.ego_index)[:need]
     rest = np.delete(order, ego_rank)[:budget - need]
     prefix = np.concatenate((order[ego_rank], rest))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2vsim.codec import (QUANT_STEP_GRID, CodecConfig, EntropyModel,
-                          decode, deserialize_frame,
+from v2vsim import codec
+from v2vsim.codec import (QUANT_STEP_GRID, CodecConfig, EncodedFrame,
+                          EntropyModel, decode, deserialize_frame,
                           distortion_weight, encode, rate_control, rd_cost,
                           refine_model, serialize_frame)
 from v2vsim.errors import BudgetError, ValidationError
@@ -26,6 +28,20 @@ def dct_matrix(n: int) -> np.ndarray:
             scale = math.sqrt(1.0 / n) if k == 0 else math.sqrt(2.0 / n)
             m[k, i] = scale * math.cos(math.pi * (2 * i + 1) * k / (2 * n))
     return m
+
+
+def assert_same_frame(a: EncodedFrame, b: EncodedFrame) -> None:
+    for field in dataclasses.fields(EncodedFrame):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert type(x) is type(y), field.name
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+def rgb_fixture() -> np.ndarray:
+    return np.stack(codec_fixture_images(), axis=-1)
 
 
 class TestEncodeDecode:
@@ -96,6 +112,30 @@ class TestEncodeDecode:
         img = rng.random((13, 21))
         rec = decode(encode(img, CodecConfig(quant_step=0.02), generic))
         assert rec.shape == img.shape
+
+    def test_block_transform_matches_scipy(self, generic):
+        from scipy.fft import dctn, idctn
+        rng = np.random.default_rng(11)
+        for block in (1, 2, 3, 8, 16):
+            for shape in ((3 * block, 2 * block), (3 * block, 2 * block, 3)):
+                x = rng.random(shape)
+                tiles = x.reshape(3, block, 2, block, -1)
+                for forward, ref in ((True, dctn), (False, idctn)):
+                    expected = ref(tiles, axes=(1, 3), norm="ortho").reshape(shape)
+                    got = codec._blockwise(x, block, forward)
+                    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        # quantized coefficients and bits equal those of a SciPy transform
+        for block in (8, 16):
+            for img in codec_fixture_images():
+                h, w = img.shape
+                tiles = img.reshape(h // block, block, w // block, block)
+                coeffs = dctn(tiles, axes=(1, 3), norm="ortho").reshape(h, w)
+                for step in QUANT_STEP_GRID[::3]:
+                    cfg = CodecConfig(block_size=block, quant_step=float(step))
+                    frame = encode(img, cfg, generic)
+                    q = np.round(coeffs / float(step)).astype(np.int64)
+                    assert np.array_equal(frame.qcoeffs, q)
+                    assert frame.bit_count == generic.bits_for_symbols(q)
 
     def test_zero_sized_rejected(self, generic):
         with pytest.raises(ValidationError):
@@ -211,21 +251,40 @@ class TestRateControl:
         assert a[1].bit_count == b[1].bit_count
 
     @pytest.mark.parametrize("ratio", [1.0, 0.3, 0.1])
-    def test_encodes_each_step_once(self, generic, monkeypatch, ratio):
-        steps = []
+    def test_transforms_once(self, generic, monkeypatch, ratio):
+        real = codec._blockwise
+        calls = []
 
-        def counting_encode(img, cfg, em):
-            steps.append(cfg.quant_step)
-            return encode(img, cfg, em)
+        def counting_blockwise(x, block, forward):
+            calls.append(forward)
+            return real(x, block, forward)
 
-        monkeypatch.setattr("v2vsim.codec.encode", counting_encode)
-        img = codec_fixture_images()[1]
-        step, frame = rate_control(img, ratio, generic, CodecConfig())
-        assert len(steps) == len(set(steps))
-        assert step in steps
-        direct = encode(img, CodecConfig(quant_step=step), generic)
-        assert frame.bit_count == direct.bit_count
-        assert np.array_equal(frame.qcoeffs, direct.qcoeffs)
+        for img in (codec_fixture_images()[1], rgb_fixture()):
+            calls.clear()
+            monkeypatch.setattr(codec, "_blockwise", counting_blockwise)
+            step, frame = rate_control(img, ratio, generic, CodecConfig())
+            monkeypatch.undo()
+            assert calls == [True]
+            assert_same_frame(frame, encode(img, CodecConfig(quant_step=step), generic))
+
+    def test_finer_neighbour_of_chosen_step_is_over_budget(self, generic):
+        # what the binary search guarantees even for a trained model: the
+        # chosen step fits and the next finer grid step does not
+        cfg = CodecConfig()
+        frames = shifting_sequence()
+        trained = refine_model(generic, frames[:5], cfg)
+        interior = 0
+        for img in frames[5::5] + codec_fixture_images() + [rgb_fixture()]:
+            for ratio in (0.1, 0.15, 0.2, 0.3, 0.4, 0.6):
+                allowed = (1 + cfg.rate_tolerance) * ratio * img.size * 8
+                step, frame = rate_control(img, ratio, trained, cfg)
+                assert frame.bit_count <= allowed
+                k = int(np.flatnonzero(QUANT_STEP_GRID == step)[0])
+                if k > 0:
+                    interior += 1
+                    finer = CodecConfig(quant_step=float(QUANT_STEP_GRID[k - 1]))
+                    assert encode(img, finer, trained).bit_count > allowed
+        assert interior >= 20
 
 
 class TestEntropyModel:

@@ -165,6 +165,14 @@ class TestOptimize:
                         channel=params, beta=0.8, min_ego_links=2)
         assert optimize(idle).selected_links() == [(1, 0), (2, 0)]
 
+    def test_stable_delay_sort_equals_delay_src_dst_lexsort(self, fleet_40):
+        # optimize orders candidates with a stable sort on delay alone; that
+        # is the (delay, src, dst) order because candidates are row-major
+        c = _candidates(fleet_40)
+        assert np.count_nonzero(c.delay_s == 0.0) > 100  # tied idle pairs
+        assert np.array_equal(np.argsort(c.delay_s, kind="stable"),
+                              np.lexsort((c.dst, c.src, c.delay_s)))
+
     def test_scan_equals_oracle_on_500_fleets(self):
         for seed in range(1000, 1500):
             s = random_scenario(seed, max_nodes=5, max_subchannels=4)

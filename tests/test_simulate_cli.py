@@ -1,4 +1,6 @@
+import math
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -19,6 +21,14 @@ from v2vsim.scenario_io import format_scenario
 from v2vsim.simulate import (LINKS_HEADER, manifest_for, plan_matrix_report,
                              simulate, write_outputs)
 from v2vsim.synth import gradient_image, sine_image
+
+
+def frame_container(channels=1, block=8, height=16, width=16, pad_h=16,
+                    pad_w=16, step=0.1, model_id=b"generic-r2048") -> bytes:
+    """A container laid out as in docs/formats.md, with all-zero coefficients."""
+    header = struct.pack("<4sBBBBHHHHd", b"VCQ1", 1, channels, block,
+                         len(model_id), height, width, pad_h, pad_w, step)
+    return header + model_id + bytes(2 * pad_h * pad_w * channels)
 
 
 def quiet_simulate(*args, **kwargs):
@@ -269,6 +279,41 @@ class TestCli:
         capsys.readouterr()
         assert rc == 2
 
+    def test_codec_decode_accepts_well_formed_header(self, tmp_path):
+        (tmp_path / "f.bin").write_bytes(frame_container(channels=3, height=13, pad_h=16))
+        rc = main(["codec", "decode", "--frame", str(tmp_path / "f.bin"),
+                   "--out", str(tmp_path / "r.ppm")])
+        assert rc == 0
+        assert read_image(tmp_path / "r.ppm").shape == (13, 16, 3)
+
+    # each container is well formed except for the one field named
+    @pytest.mark.parametrize("fields", [
+        {"block": 0},
+        {"step": math.nan},
+        {"step": -0.1},
+        {"step": 0.0},
+        {"step": math.inf},
+        {"model_id": b"\xffgeneric"},
+        {"channels": 0},
+        {"channels": 2},
+        {"channels": 4},
+        {"height": 0, "pad_h": 0},
+        {"width": 0, "pad_w": 0},
+        {"pad_h": 24},
+        {"height": 20, "pad_h": 16},
+        {"height": 20, "pad_h": 20},
+    ], ids=["block-0", "step-nan", "step-negative", "step-0", "step-inf",
+            "model-id-not-utf8", "channels-0", "channels-2", "channels-4",
+            "height-0", "width-0", "pad-too-large", "pad-below-height",
+            "pad-not-block-multiple"])
+    def test_codec_decode_bad_header_exits_2(self, tmp_path, capsys, fields):
+        (tmp_path / "f.bin").write_bytes(frame_container(**fields))
+        rc = main(["codec", "decode", "--frame", str(tmp_path / "f.bin"),
+                   "--out", str(tmp_path / "r.pgm")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r.pgm").exists()
+
     def test_codec_refinement_from_directory(self, tmp_path):
         from v2vsim.synth import shifting_sequence
         frames_dir = tmp_path / "frames"
@@ -318,11 +363,13 @@ class TestCli:
 
 
 def test_cli_import_skips_scipy_signal():
-    # scipy.signal took 0.8-1.0 s of a 1.2-1.5 s `import v2vsim.cli` on a 2-vCPU Xeon
+    # no SciPy module at all: scipy.signal took 0.8-1.0 s of a 1.2-1.5 s
+    # `import v2vsim.cli` on a 2-vCPU Xeon, and scipy.fft about 0.3-0.4 s more
     src = os.path.dirname(os.path.dirname(v2vsim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, v2vsim.cli; print('scipy.signal' in sys.modules)"
+    code = ("import sys, v2vsim.cli; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
