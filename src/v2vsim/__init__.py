@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from .channel import (ChannelParams, Scenario, VehicleNode, capacity_matrix,
                       channel_gain, link_capacity)
 from .codec import (CodecConfig, EncodedFrame, EntropyModel, decode,
-                    deserialize_frame, distortion_weight, encode,
-                    rate_control, rd_cost, refine_model, serialize_frame)
+                    deserialize_frame, encode, rate_control, refine_model,
+                    serialize_frame)
 from .errors import (BudgetError, ImageFormatError, InfeasibleError,
                      ParseError, SizeError, ValidationError)
 from .fourier import (FreqMask, Spectrum, align, dft2, domain_gap, idft2,
@@ -33,10 +33,10 @@ __all__ = [
     "ScenarioDocument", "SimulationResult", "SizeError", "SolverConfig",
     "Spectrum", "ValidationError", "VehicleNode", "align", "average_delay",
     "capacity_matrix", "channel_gain", "compression_lower_bound", "decode",
-    "deserialize_frame", "dft2", "distortion_weight", "domain_gap", "encode",
+    "deserialize_frame", "dft2", "domain_gap", "encode",
     "exhaustive_optimum", "format_scenario", "idft2", "iou", "link_capacity",
     "low_freq_mask", "mix_amplitude", "ms_ssim", "optimize", "parse_scenario",
-    "parse_scenario_document", "psnr", "rate_control", "rd_cost",
+    "parse_scenario_document", "psnr", "rate_control",
     "refine_model", "serialize_frame", "simulate", "transmission_delay",
     "validate_plan", "write_outputs",
 ]

@@ -186,9 +186,13 @@ def link_capacity(gain: float, params: ChannelParams) -> float:
     return float(_capacity(gain, params))
 
 
-def capacity_matrix(scenario: Scenario) -> np.ndarray:
-    """Per-pair sub-channel capacities; diagonal entries are zero."""
+def capacity_matrix(scenario: Scenario,
+                    distances: np.ndarray | None = None) -> np.ndarray:
+    """Per-pair sub-channel capacities; diagonal entries are zero.
+    ``distances``, if given, must be ``scenario.distance_matrix()``."""
+    if distances is None:
+        distances = scenario.distance_matrix()
     params = scenario.channel
-    caps = _capacity(_gain(scenario.distance_matrix(), params), params)
+    caps = _capacity(_gain(distances, params), params)
     np.fill_diagonal(caps, 0.0)
     return caps

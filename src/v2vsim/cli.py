@@ -25,16 +25,12 @@ from .simulate import (manifest_for, plan_csv, plan_matrix_report, simulate,
 def _codec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--block-size", type=int, default=8)
     parser.add_argument("--quant-step", type=float, default=0.05)
-    parser.add_argument("--rd-weight-max", type=float, default=100.0)
-    parser.add_argument("--rd-weight-power", type=float, default=2.0)
     parser.add_argument("--rate-tolerance", type=float, default=0.05)
 
 
 def _codec_config(args) -> CodecConfig:
     return CodecConfig(block_size=args.block_size,
                        quant_step=args.quant_step,
-                       rd_weight_max=args.rd_weight_max,
-                       rd_weight_power=args.rd_weight_power,
                        rate_tolerance=args.rate_tolerance)
 
 

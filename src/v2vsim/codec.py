@@ -36,9 +36,11 @@ DEFAULT_SYMBOL_RADIUS = 2048
 GENERIC_DECAY_POWER = 3
 SMOOTHING = 1.0
 
-# Quantization steps searched by rate_control, finest first.  The floor keeps
-# every reachable symbol inside the default alphabet (|coeff| <= block_size
-# for unit-range images, so |symbol| <= 8 / 0.004 = 2000 <= 2048).
+# Quantization steps searched by rate_control, finest first.  For unit-range
+# images |coeff| <= block_size, so the finest step gives |symbol| <=
+# block_size / 0.004: inside the default alphabet (radius 2048) only for
+# block sizes up to 8 (2000 at 8).  A symbol beyond the radius is priced as
+# the edge symbol.
 QUANT_STEP_GRID = np.geomspace(0.004, 16.0, num=60)
 
 FRAME_MAGIC = b"VCQ1"
@@ -49,8 +51,6 @@ FRAME_VERSION = 1
 class CodecConfig:
     block_size: int = 8
     quant_step: float = 0.05
-    rd_weight_max: float = 100.0
-    rd_weight_power: float = 2.0
     rate_tolerance: float = 0.05
 
     def __post_init__(self):
@@ -58,10 +58,6 @@ class CodecConfig:
             raise ValidationError("block_size must be >= 1")
         if self.quant_step <= 0:
             raise ValidationError("quant_step must be positive")
-        if self.rd_weight_max <= 0:
-            raise ValidationError("rd_weight_max must be positive")
-        if self.rd_weight_power < 1:
-            raise ValidationError("rd_weight_power must be >= 1")
         if self.rate_tolerance < 0:
             raise ValidationError("rate_tolerance must be non-negative")
 
@@ -192,37 +188,20 @@ def encode(img: np.ndarray, cfg: CodecConfig, em: EntropyModel) -> EncodedFrame:
 
 
 def decode(frame: EncodedFrame) -> np.ndarray:
-    """Dequantize and inverse-transform; output clipped to [0, 1]."""
+    """Dequantize and inverse-transform; output clipped to [0, 1].  Raises
+    ValidationError when the reconstruction overflows to non-finite values."""
     q = frame.qcoeffs
     expected_pad = (frame.height + (-frame.height) % frame.block_size,
                     frame.width + (-frame.width) % frame.block_size)
     if q.shape[:2] != expected_pad:
         raise ValidationError(
             f"coefficient layout {q.shape[:2]} does not match padded dims {expected_pad}")
-    rec = _blockwise(q * frame.quant_step, frame.block_size, forward=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = _blockwise(q * frame.quant_step, frame.block_size, forward=False)
+    if not np.all(np.isfinite(rec)):
+        raise ValidationError(
+            f"reconstruction is not finite at quantization step {frame.quant_step}")
     return np.clip(rec[:frame.height, :frame.width], 0.0, 1.0)
-
-
-def distortion_weight(ratio: float, cfg: CodecConfig) -> float:
-    """Rate-distortion weight for a compression ratio: w_max * ratio ** power.
-
-    Monotone increasing with weight ``rd_weight_max`` at ratio 1, so lighter
-    compression penalizes distortion more heavily.
-    """
-    if not (0 < ratio <= 1):
-        raise ValidationError("ratio must lie in (0, 1]")
-    return cfg.rd_weight_max * ratio ** cfg.rd_weight_power
-
-
-def rd_cost(img: np.ndarray, frame: EncodedFrame, ratio: float,
-            cfg: CodecConfig, em: EntropyModel) -> float:
-    """Estimated bits plus distortion-weighted mean squared error."""
-    arr = check_image(img)
-    rec = decode(frame)
-    if rec.shape != arr.shape:
-        raise ValidationError(f"frame dims {rec.shape} do not match image {arr.shape}")
-    mse = float(np.mean((arr - rec) ** 2))
-    return frame.bit_count + distortion_weight(ratio, cfg) * mse
 
 
 def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
@@ -276,8 +255,9 @@ def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
         raise ValidationError("refinement needs at least one raw frame")
     counts = np.zeros(2 * em.radius + 1)
     for raw in raw_frames:
-        frame = encode(raw, cfg, em)
-        symbols = em.clip_symbols(frame.qcoeffs).astype(np.int64) + em.radius
+        _, coeffs = _transform(raw, cfg.block_size)
+        q = np.round(coeffs / cfg.quant_step).astype(np.int64)
+        symbols = em.clip_symbols(q) + em.radius
         counts += np.bincount(symbols.ravel(), minlength=2 * em.radius + 1)
     return EntropyModel.from_counts(
         counts, em.radius,
@@ -343,9 +323,12 @@ def deserialize_frame(data: bytes, em: EntropyModel | None = None) -> EncodedFra
     if len(payload) != expected:
         raise ValidationError(
             f"payload is {len(payload)} bytes, expected {expected}")
-    q = np.frombuffer(payload, dtype="<i2").astype(np.int64)
+    wire = np.frombuffer(payload, dtype="<i2")
+    if not math.isfinite(max(-int(wire.min()), int(wire.max())) * quant_step):
+        raise ValidationError(
+            f"quantization step {quant_step} overflows on dequantization")
     shape = (pad_h, pad_w) if channels == 1 else (pad_h, pad_w, channels)
-    q = q.reshape(shape)
+    q = wire.astype(np.int64).reshape(shape)
     if em is not None:
         if em.model_id != model_id:
             raise ValidationError(

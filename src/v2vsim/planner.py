@@ -150,8 +150,8 @@ class Candidates:
 
 
 def _candidates(scenario: Scenario) -> Candidates:
-    caps = capacity_matrix(scenario)
     dists = scenario.distance_matrix()
+    caps = capacity_matrix(scenario, dists)
     src, dst = np.nonzero(caps > 0.0)  # the diagonal is zero
     cap = caps[src, dst]
     dist = dists[src, dst]

@@ -81,6 +81,7 @@ def parse_scenario(text: str) -> Scenario:
 def parse_scenario_document(text: str) -> ScenarioDocument:
     values: dict[str, object] = {}
     nodes: list[VehicleNode] = []
+    seen_ids: set[int] = set()
     image_paths: dict[int, str] = {}
     volume_rows: list[list[float]] = []
     in_volumes = False
@@ -135,8 +136,9 @@ def parse_scenario_document(text: str) -> ScenarioDocument:
                                    y=_finite(parts[3]))
             except ValueError:
                 raise ParseError(line_no, f"bad node declaration {line!r}")
-            if any(n.id == node.id for n in nodes):
+            if node.id in seen_ids:
                 raise ParseError(line_no, f"duplicate node id {node.id}")
+            seen_ids.add(node.id)
             nodes.append(node)
         elif key == "image":
             if len(parts) != 3:

@@ -174,13 +174,24 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
 
 
 def plan_matrix_report(plan: CommPlan) -> str:
-    """Human-readable matrix dump of a plan."""
+    """Human-readable matrix dump of a plan.
+
+    Each distinct value of a matrix is formatted once and the text gathered
+    back through ``np.unique``'s inverse index.  A plan holds few distinct
+    values: at most ``num_subchannels`` links are selected and every other
+    entry shares one value, so this is much cheaper than one ``format`` call
+    per element.  Floats are keyed by their bit pattern, so ``-0.0`` and
+    ``0.0`` (and NaN payloads) keep their own text.
+    """
     out = []
 
     def block(title: str, matrix: np.ndarray, fmt: str) -> None:
+        keys = matrix.view(f"u{matrix.itemsize}") if matrix.dtype.kind == "f" else matrix
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        texts = np.array([format(v, fmt) for v in distinct.view(matrix.dtype).tolist()],
+                         dtype=object)
         out.append(title)
-        for row in matrix.tolist():
-            out.append(" ".join(format(v, fmt) for v in row))
+        out.extend(" ".join(row) for row in texts[inverse.reshape(matrix.shape)].tolist())
         out.append("")
 
     block("link matrix", plan.link_matrix, "d")

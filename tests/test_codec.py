@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from v2vsim import codec
 from v2vsim.codec import (QUANT_STEP_GRID, CodecConfig, EncodedFrame,
-                          EntropyModel, decode, deserialize_frame,
-                          distortion_weight, encode, rate_control, rd_cost,
-                          refine_model, serialize_frame)
+                          EntropyModel, decode, deserialize_frame, encode,
+                          rate_control, refine_model, serialize_frame)
 from v2vsim.errors import BudgetError, ValidationError
 from v2vsim.synth import (codec_fixture_images, rich_image, shifting_sequence,
                           sine_image)
@@ -149,51 +148,6 @@ class TestEncodeDecode:
         assert a.bit_count == b.bit_count
 
 
-class TestDistortionWeight:
-    def test_unit_ratio_gives_max(self):
-        assert distortion_weight(1.0, CodecConfig()) == 100.0
-
-    def test_vanishes_with_ratio(self):
-        assert distortion_weight(1e-9, CodecConfig()) == pytest.approx(0.0, abs=1e-12)
-
-    def test_square_law_midpoint(self):
-        cfg = CodecConfig(rd_weight_max=100.0, rd_weight_power=2.0)
-        assert distortion_weight(0.5, cfg) == pytest.approx(25.0, rel=1e-12)
-
-    @given(r1=st.floats(0.01, 1.0), r2=st.floats(0.01, 1.0))
-    def test_monotone(self, r1, r2):
-        cfg = CodecConfig()
-        lo, hi = sorted((r1, r2))
-        assert distortion_weight(lo, cfg) <= distortion_weight(hi, cfg)
-
-
-class TestRdCost:
-    def test_lossless_cost_is_bits(self, generic):
-        img = sine_image(16, 16)
-        cfg = CodecConfig(quant_step=1e-12)
-        frame = encode(img, cfg, generic)
-        cost = rd_cost(img, frame, 0.5, cfg, generic)
-        assert cost == pytest.approx(frame.bit_count, rel=1e-9)
-
-    def test_compositional_grid(self, generic):
-        img = codec_fixture_images()[1]
-        cfg = CodecConfig(quant_step=0.2)
-        frame = encode(img, cfg, generic)
-        rec = decode(frame)
-        err = float(np.mean((img - rec) ** 2))
-        for ratio in (0.1, 0.4, 0.7, 1.0):
-            expected = frame.bit_count + distortion_weight(ratio, cfg) * err
-            assert rd_cost(img, frame, ratio, cfg, generic) == pytest.approx(
-                expected, rel=1e-12)
-
-    def test_monotone_in_weight(self, generic):
-        img = codec_fixture_images()[0]
-        cfg = CodecConfig(quant_step=0.5)
-        frame = encode(img, cfg, generic)
-        costs = [rd_cost(img, frame, r, cfg, generic) for r in (0.2, 0.5, 1.0)]
-        assert costs == sorted(costs)
-
-
 class TestRateControl:
     def test_slack_budget_chooses_finest_step(self, generic):
         rng = np.random.default_rng(42)
@@ -307,6 +261,24 @@ class TestEntropyModel:
 
 
 class TestRefinement:
+    def test_counts_quantized_fixtures_without_pricing(self, generic, monkeypatch):
+        frames = codec_fixture_images()
+        cfg = CodecConfig(quant_step=0.02)
+        counts = np.zeros(2 * generic.radius + 1)
+        for frame in frames:
+            symbols = generic.clip_symbols(encode(frame, cfg, generic).qcoeffs)
+            counts += np.bincount(symbols.ravel() + generic.radius,
+                                  minlength=counts.size)
+
+        def no_pricing(self, symbols):
+            raise AssertionError("refine_model priced a training frame")
+
+        monkeypatch.setattr(EntropyModel, "bits_for_symbols", no_pricing)
+        refined = refine_model(generic, frames, cfg)
+        assert np.array_equal(refined.freq, counts + 1.0)
+        assert refined.model_id == "refined-n3-q0.02"
+        assert refined.trained_on == 3
+
     def test_refined_on_exact_frame_beats_generic(self, generic):
         cfg = CodecConfig(quant_step=0.01)
         target = rich_image()
@@ -388,6 +360,22 @@ class TestSerialization:
         other = EntropyModel.generic(radius=64)
         with pytest.raises(ValidationError):
             deserialize_frame(serialize_frame(frame), other)
+
+    def test_overflowing_dequantization_rejected(self):
+        q = np.zeros((8, 8), dtype=np.int64)
+        q[0, 0] = 100
+        frame = EncodedFrame(q, 1e308, "generic-r2048", math.nan, 8, 8, 1, 8)
+        with pytest.raises(ValidationError, match="overflows"):
+            deserialize_frame(serialize_frame(frame))
+        with pytest.raises(ValidationError, match="not finite"):
+            decode(frame)
+        # each coefficient dequantizes to a finite 1.5e308, their inverse
+        # transform does not
+        frame = EncodedFrame(np.full((8, 8), 30000, dtype=np.int64), 5e303,
+                             "generic-r2048", math.nan, 8, 8, 1, 8)
+        back = deserialize_frame(serialize_frame(frame))
+        with pytest.raises(ValidationError, match="not finite"):
+            decode(back)
 
     def test_bad_magic_rejected(self, generic):
         frame = encode(sine_image(16, 16), CodecConfig(quant_step=0.1), generic)

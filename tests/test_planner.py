@@ -173,6 +173,22 @@ class TestOptimize:
         assert np.array_equal(np.argsort(c.delay_s, kind="stable"),
                               np.lexsort((c.dst, c.src, c.delay_s)))
 
+    def test_one_distance_matrix_per_optimize(self, fleet_40, monkeypatch):
+        expected = capacity_matrix(fleet_40)
+        c = _candidates(fleet_40)
+        assert np.array_equal(c.capacity_bps, expected[c.src, c.dst])
+        assert c.capacity_bps.tobytes() == expected[c.src, c.dst].tobytes()
+        calls = []
+        original = Scenario.distance_matrix
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Scenario, "distance_matrix", counted)
+        optimize(fleet_40)
+        assert len(calls) == 1
+
     def test_scan_equals_oracle_on_500_fleets(self):
         for seed in range(1000, 1500):
             s = random_scenario(seed, max_nodes=5, max_subchannels=4)

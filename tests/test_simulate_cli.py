@@ -15,8 +15,8 @@ from v2vsim.codec import CodecConfig, EntropyModel, decode, rate_control
 from v2vsim.errors import ValidationError
 from v2vsim.fourier import align
 from v2vsim.image_io import read_image, write_image
-from v2vsim.metrics import REPORT_HEADER, mse, psnr
-from v2vsim.planner import CommPlan, SolverConfig, validate_plan
+from v2vsim.metrics import REPORT_HEADER, _fmt, mse, psnr
+from v2vsim.planner import CommPlan, SolverConfig, optimize, validate_plan
 from v2vsim.scenario_io import format_scenario
 from v2vsim.simulate import (LINKS_HEADER, manifest_for, plan_matrix_report,
                              simulate, write_outputs)
@@ -24,11 +24,14 @@ from v2vsim.synth import gradient_image, sine_image
 
 
 def frame_container(channels=1, block=8, height=16, width=16, pad_h=16,
-                    pad_w=16, step=0.1, model_id=b"generic-r2048") -> bytes:
-    """A container laid out as in docs/formats.md, with all-zero coefficients."""
+                    pad_w=16, step=0.1, model_id=b"generic-r2048", first=0) -> bytes:
+    """A container laid out as in docs/formats.md; every coefficient is zero
+    except the first, which is ``first``."""
     header = struct.pack("<4sBBBBHHHHd", b"VCQ1", 1, channels, block,
                          len(model_id), height, width, pad_h, pad_w, step)
-    return header + model_id + bytes(2 * pad_h * pad_w * channels)
+    coeffs = np.zeros(pad_h * pad_w * channels, dtype="<i2")
+    coeffs[:1] = first
+    return header + model_id + coeffs.tobytes()
 
 
 def quiet_simulate(*args, **kwargs):
@@ -185,6 +188,68 @@ def test_plan_matrix_report_formats_each_element():
                                           for row in matrix]
 
 
+def reference_matrix_report(plan: CommPlan) -> str:
+    """plan.txt with one ``format`` call per element."""
+    out = []
+    for title, matrix, fmt in (("link matrix", plan.link_matrix, "d"),
+                               ("compression ratios", plan.compression, ".6f"),
+                               ("rates (bit/s)", plan.rates, ".6g"),
+                               ("delays (s)", plan.delays, ".9g")):
+        out.append(title)
+        out += [" ".join(format(v, fmt) for v in row) for row in matrix.tolist()]
+        out.append("")
+    out.append(f"average delay (s): {_fmt(plan.avg_delay_s)}")
+    return "\n".join(out) + "\n"
+
+
+def random_fleet(n: int, subchannels: int, seed: int) -> Scenario:
+    """Like the ``fleet_40`` fixture, with ``n`` nodes over 1 km x 1 km and no
+    idle pairs, so that the plan does not stop at one zero-delay link."""
+    rng = np.random.default_rng(seed)
+    xy = rng.uniform(-500.0, 500.0, size=(n, 2))
+    volumes = rng.uniform(1e5, 2e7, size=(n, n))
+    np.fill_diagonal(volumes, 0.0)
+    params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=subchannels,
+                           transmit_power_w=0.2, noise_level=1e-9,
+                           pathloss_exponent=2.7, reference_distance_m=10.0)
+    return Scenario(nodes=[VehicleNode(k, float(x), float(y)) for k, (x, y) in enumerate(xy)],
+                    ego_id=0, data_volumes_bits=volumes, channel=params, beta=0.8)
+
+
+class TestPlanMatrixReportBytes:
+    """plan.txt equals the per-element ``format`` reference byte for byte."""
+
+    def test_optimized_fleet_40(self, fleet_40):
+        plan = optimize(fleet_40)
+        assert plan_matrix_report(plan) == reference_matrix_report(plan)
+
+    def test_optimized_150_node_fleet(self):
+        plan = optimize(random_fleet(150, 16, seed=150))
+        assert plan.num_links > 1
+        assert plan_matrix_report(plan) == reference_matrix_report(plan)
+
+    def test_ratio_override_plan(self):
+        img = sine_image()
+        result = quiet_simulate(three_node_symmetric(float(img.size * 8)),
+                                {0: gradient_image(), 1: img, 2: img},
+                                SolverConfig(), CodecConfig(), align_alpha=0.0,
+                                seed=3, ratio_override=0.3)
+        assert result.plan.num_links == 2
+        assert plan_matrix_report(result.plan) == reference_matrix_report(result.plan)
+
+    @pytest.mark.parametrize("link_dtype", [bool, np.int32])
+    def test_special_values(self, link_dtype):
+        neg_nan = np.float64(-math.nan)
+        payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+        values = np.array([[-0.0, 0.0, math.nan, neg_nan],
+                           [payload_nan, math.inf, -math.inf, 1e-300],
+                           [-1e-300, 0.5, 0.0, -0.0]])
+        link = np.array([[0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=link_dtype)
+        plan = CommPlan(link, values, values * 3.0, values[::-1], -0.0)
+        assert plan_matrix_report(plan) == reference_matrix_report(plan)
+        assert "-0.000000 0.000000 nan" in plan_matrix_report(plan)
+
+
 @pytest.fixture
 def scenario_dir(tmp_path):
     img1 = gradient_image()
@@ -302,10 +367,11 @@ class TestCli:
         {"pad_h": 24},
         {"height": 20, "pad_h": 16},
         {"height": 20, "pad_h": 20},
+        {"step": 1e308, "first": 100},
     ], ids=["block-0", "step-nan", "step-negative", "step-0", "step-inf",
             "model-id-not-utf8", "channels-0", "channels-2", "channels-4",
             "height-0", "width-0", "pad-too-large", "pad-below-height",
-            "pad-not-block-multiple"])
+            "pad-not-block-multiple", "step-overflows"])
     def test_codec_decode_bad_header_exits_2(self, tmp_path, capsys, fields):
         (tmp_path / "f.bin").write_bytes(frame_container(**fields))
         rc = main(["codec", "decode", "--frame", str(tmp_path / "f.bin"),
