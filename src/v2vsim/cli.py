@@ -7,6 +7,7 @@ Subcommands: plan, oracle, codec, align, simulate.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -129,6 +130,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="v2vsim",

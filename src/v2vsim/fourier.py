@@ -4,11 +4,13 @@ Images are float64 arrays in [0, 1], shaped (H, W) or (H, W, C) with C in
 {1, 3}.  Spectra are stored DC-centered: the forward transform applies an
 fft-shift so the zero-frequency bin sits at (H//2, W//2), which is also the
 center of the rectangular low-frequency mask.
+
+``align`` mixes on the real half-spectrum (``rfft2``) inside the rectangle
+only; the rectangle is symmetric about DC, so its output is real by construction.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -16,10 +18,6 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-
-logger = logging.getLogger(__name__)
-
-MAX_IMAG_RESIDUAL = 1e-6
 
 
 def check_image(img: np.ndarray, name: str = "image") -> np.ndarray:
@@ -43,7 +41,6 @@ class Spectrum:
 
     amplitude: np.ndarray
     phase: np.ndarray
-    shifted: bool = True  # True: DC bin at (H//2, W//2)
 
     def __post_init__(self):
         if self.amplitude.shape != self.phase.shape:
@@ -75,39 +72,36 @@ def dft2(img: np.ndarray) -> Spectrum:
     """Forward per-channel 2-D DFT, unnormalized, DC-centered."""
     arr = check_image(img)
     spec = np.fft.fftshift(np.fft.fft2(arr, axes=(0, 1)), axes=(0, 1))
-    return Spectrum(amplitude=np.abs(spec), phase=np.angle(spec), shifted=True)
+    return Spectrum(amplitude=np.abs(spec), phase=np.angle(spec))
 
 
-def idft2(spec: Spectrum, return_max_imag: bool = False):
-    """Inverse 2-D DFT; returns the real part.
+def idft2(spec: Spectrum) -> np.ndarray:
+    """Inverse 2-D DFT of a DC-centered spectrum; returns the real part."""
+    field = np.fft.ifftshift(spec.amplitude * np.exp(1j * spec.phase), axes=(0, 1))
+    return np.fft.ifft2(field, axes=(0, 1)).real
 
-    The maximum imaginary residual is logged and optionally returned; it is
-    only nonzero when the amplitude was edited after the forward transform.
+
+def _half_widths(alpha: float, height: int, width: int) -> tuple[int, int]:
+    """Half-widths floor(alpha * H), floor(alpha * W) of the low-frequency rectangle.
+
+    alpha == 0 gives (-1, -1), the empty rectangle.
     """
-    field = spec.amplitude * np.exp(1j * spec.phase)
-    if spec.shifted:
-        field = np.fft.ifftshift(field, axes=(0, 1))
-    out = np.fft.ifft2(field, axes=(0, 1))
-    max_imag = float(np.abs(out.imag).max())
-    logger.debug("idft2 max imaginary residual: %.3e", max_imag)
-    if return_max_imag:
-        return out.real, max_imag
-    return out.real
+    if not (0 <= alpha < 1):
+        raise ValidationError("alpha must lie in [0, 1)")
+    if alpha == 0:
+        return -1, -1
+    return math.floor(alpha * height), math.floor(alpha * width)
 
 
 def low_freq_mask(alpha: float, height: int, width: int) -> FreqMask:
     """Build the central rectangle mask for a shifted H x W spectrum."""
-    if not (0 <= alpha < 1):
-        raise ValidationError("alpha must lie in [0, 1)")
+    hh, hw = _half_widths(alpha, height, width)
     if height < 1 or width < 1:
         raise ValidationError("mask dimensions must be positive")
     mask = np.zeros((height, width), dtype=bool)
-    if alpha > 0:
-        hh = math.floor(alpha * height)
-        hw = math.floor(alpha * width)
-        cy, cx = height // 2, width // 2
-        mask[max(0, cy - hh):min(height, cy + hh + 1),
-             max(0, cx - hw):min(width, cx + hw + 1)] = True
+    cy, cx = height // 2, width // 2
+    mask[max(0, cy - hh):min(height, cy + hh + 1),
+         max(0, cx - hw):min(width, cx + hw + 1)] = True
     return FreqMask(alpha=alpha, height=height, width=width, mask=mask)
 
 
@@ -126,25 +120,25 @@ def mix_amplitude(src_amp: np.ndarray, tgt_amp: np.ndarray, mask: FreqMask) -> n
 def align(src: np.ndarray, tgt: np.ndarray, alpha: float, clip: bool = True) -> np.ndarray:
     """Push the source image toward the target's low-frequency style.
 
-    The source's low-frequency amplitude is replaced with the target's while
-    the source phase is kept, and the inverse transform's real part is
-    returned (clipped to [0, 1] unless ``clip`` is False, which exists so
-    spectral properties can be checked on the raw signal).
+    Half-spectrum bins in the rectangle (row r with min(r, H - r) <= floor(alpha * H),
+    column c <= floor(alpha * W)) become ``|F_tgt| * exp(1j * angle(F_src))``;
+    all others keep the source's value.  The result is clipped to [0, 1] unless
+    ``clip`` is False, which exists so spectral properties can be checked on
+    the raw signal.
     """
     s = check_image(src, "source")
     t = check_image(tgt, "target")
     if s.shape != t.shape:
         raise ValidationError(f"source shape {s.shape} != target shape {t.shape}")
-    src_spec = dft2(s)
-    tgt_spec = dft2(t)
-    mask = low_freq_mask(alpha, s.shape[0], s.shape[1])
-    mixed = mix_amplitude(src_spec.amplitude, tgt_spec.amplitude, mask)
-    out, max_imag = idft2(Spectrum(mixed, src_spec.phase, shifted=True),
-                          return_max_imag=True)
-    if max_imag > MAX_IMAG_RESIDUAL:
-        raise ArithmeticError(
-            f"inverse transform imaginary residual {max_imag:.3e} exceeds "
-            f"{MAX_IMAG_RESIDUAL:.0e}")
+    h, w = s.shape[:2]
+    hh, hw = _half_widths(alpha, h, w)
+    spec = np.fft.rfft2(s, axes=(0, 1))
+    tgt_spec = np.fft.rfft2(t, axes=(0, 1))
+    top = min(hh + 1, h)
+    cols = slice(0, hw + 1)
+    for rows in (slice(0, top), slice(max(top, h - hh), h)):
+        spec[rows, cols] = np.abs(tgt_spec[rows, cols]) * np.exp(1j * np.angle(spec[rows, cols]))
+    out = np.fft.irfft2(spec, s=(h, w), axes=(0, 1))
     if clip:
         out = np.clip(out, 0.0, 1.0)
     return out

@@ -113,7 +113,9 @@ def parse_scenario_document(text: str) -> ScenarioDocument:
                 volumes_done = True
                 continue
             try:
-                row = [_finite(tok) for tok in parts]
+                row = list(map(float, parts))
+                if not all(map(math.isfinite, row)):
+                    raise ValueError("non-finite volume entry")
             except ValueError:
                 raise ParseError(line_no, f"non-numeric or non-finite volume entry in {line!r}")
             if len(row) != len(nodes):

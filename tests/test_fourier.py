@@ -122,6 +122,11 @@ class TestMask:
         with pytest.raises(ValidationError):
             low_freq_mask(1.0, 8, 8)
 
+    @pytest.mark.parametrize("alpha", [math.nan, -0.1])
+    def test_alpha_nan_or_negative_rejected(self, alpha):
+        with pytest.raises(ValidationError, match=r"alpha must lie in \[0, 1\)"):
+            low_freq_mask(alpha, 8, 8)
+
 
 class TestMixAmplitude:
     def test_empty_mask_keeps_source(self):
@@ -197,6 +202,27 @@ class TestAlign:
             d = rms(align(src, tgt, alpha, clip=False), src)
             assert d >= prev - 1e-12  # masks nest, so swapped energy only grows
             prev = d
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.25, 0.5, 0.6, 0.99])
+    @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (7, 9), (8, 9), (176, 176),
+                                       (12, 10, 3)])
+    def test_matches_full_spectrum_mix(self, shape, alpha):
+        # the full-plane formula: target amplitude inside the DC-centered
+        # mask, source amplitude outside, source phase everywhere
+        rng = np.random.default_rng(sum(shape) + int(alpha * 100))
+        src, tgt = rng.random(shape), rng.random(shape)
+        src_spec, tgt_spec = dft2(src), dft2(tgt)
+        mask = low_freq_mask(alpha, shape[0], shape[1])
+        mixed = mix_amplitude(src_spec.amplitude, tgt_spec.amplitude, mask)
+        expected = idft2(Spectrum(mixed, src_spec.phase))
+        out = align(src, tgt, alpha, clip=False)
+        assert out.shape == shape
+        assert np.max(np.abs(out - expected)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [1.0, math.nan, -0.1])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValidationError, match=r"alpha must lie in \[0, 1\)"):
+            align(np.ones((8, 8)), np.ones((8, 8)), alpha)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):

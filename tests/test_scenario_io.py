@@ -150,6 +150,14 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="non-numeric"):
             parse_scenario(MINIMAL.replace("8e6 0", "lots 0"))
 
+    @pytest.mark.parametrize("row", ["lots 0", "8e6 nan", "inf 0", "8e6 -inf", "0x10 0"])
+    def test_bad_volume_token_names_line_and_row(self, row):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(MINIMAL.replace("8e6 0", row))
+        assert err.value.line_no == 13
+        assert str(err.value) == (
+            f"line 13: non-numeric or non-finite volume entry in {row!r}")
+
     def test_ego_must_exist(self):
         with pytest.raises(Exception, match="ego"):
             parse_scenario(MINIMAL.replace("ego 0", "ego 7"))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import struct
@@ -10,7 +11,7 @@ import pytest
 
 import v2vsim
 from v2vsim.channel import ChannelParams, Scenario, VehicleNode
-from v2vsim.cli import main
+from v2vsim.cli import build_parser, cmd_plan, main
 from v2vsim.codec import CodecConfig, EntropyModel, decode, rate_control
 from v2vsim.errors import ValidationError
 from v2vsim.fourier import align
@@ -426,6 +427,30 @@ class TestCli:
             a = (scenario_dir / "r1" / name).read_bytes()
             b = (scenario_dir / "r2" / name).read_bytes()
             assert a == b, name
+
+    def test_one_parser_serves_simulate_then_plan(self, scenario_dir):
+        scene = str(scenario_dir / "scene.scn")
+        sim = ["simulate", "--scenario", scene, "--seed", "13"]
+        assert main(sim + ["--alpha", "0.05", "--block-size", "16",
+                           "--outdir", str(scenario_dir / "tuned")]) == 0
+        assert main(["plan", "--scenario", scene, "--seed", "13",
+                     "--outdir", str(scenario_dir / "plan")]) == 0
+        assert main(sim + ["--outdir", str(scenario_dir / "defaults")]) == 0
+        assert build_parser() is build_parser()
+
+        def manifest(name):
+            return json.loads((scenario_dir / name / "manifest.json").read_text())
+
+        tuned, defaults = manifest("tuned"), manifest("defaults")
+        assert (tuned["align_alpha"], tuned["codec"]["block_size"]) == (0.05, 16)
+        assert (defaults["align_alpha"], defaults["codec"]["block_size"]) == (0.0, 8)
+        assert defaults["ratio_override"] is None
+        for name in ("plan.txt", "plan.csv"):
+            assert ((scenario_dir / "plan" / name).read_bytes()
+                    == (scenario_dir / "defaults" / name).read_bytes())
+        args = build_parser().parse_args(["plan", "--scenario", scene, "--seed", "1"])
+        assert vars(args) == {"command": "plan", "scenario": scene, "seed": 1,
+                              "outdir": "plan_out", "func": cmd_plan}
 
 
 def test_cli_import_skips_scipy_signal():
