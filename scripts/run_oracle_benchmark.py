@@ -9,7 +9,7 @@ constraint violations, and wall time.
 import argparse
 import time
 
-from v2vsim.planner import SolverConfig, exhaustive_optimum, optimize, validate_plan
+from v2vsim.planner import exhaustive_optimum, optimize, validate_plan
 from v2vsim.synth import random_scenario
 
 
@@ -26,7 +26,7 @@ def main() -> None:
     t0 = time.perf_counter()
     for seed in range(args.first_seed, args.first_seed + args.instances):
         scenario = random_scenario(seed, args.max_nodes, args.max_subchannels)
-        plan = optimize(scenario, SolverConfig(seed=seed))
+        plan = optimize(scenario)
         oracle = exhaustive_optimum(scenario)
         violations += bool(validate_plan(plan, scenario))
         exact += plan.avg_delay_s == oracle.avg_delay_s

@@ -7,6 +7,7 @@ Subcommands: plan, oracle, codec, align, simulate.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from fractions import Fraction
@@ -17,22 +18,25 @@ from .codec import (CodecConfig, EntropyModel, decode, deserialize_frame,
 from .errors import ImageFormatError, InfeasibleError, ValidationError
 from .fourier import align
 from .image_io import read_image, write_image
-from .planner import SolverConfig, exhaustive_optimum, optimize, validate_plan
+from .planner import exhaustive_optimum, optimize, validate_plan
 from .scenario_io import parse_scenario_document
 from .simulate import (manifest_for, plan_csv, plan_matrix_report, simulate,
                        write_outputs)
 
 
-def _codec_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--block-size", type=int, default=8)
-    parser.add_argument("--quant-step", type=float, default=0.05)
-    parser.add_argument("--rate-tolerance", type=float, default=0.05)
+def _codec_flags(parser: argparse.ArgumentParser, omit=()) -> None:
+    """One flag per CodecConfig field not in ``omit``, typed and defaulted by it."""
+    for f in dataclasses.fields(CodecConfig):
+        if f.name not in omit:
+            parser.add_argument("--" + f.name.replace("_", "-"),
+                                type=type(f.default), default=f.default)
 
 
 def _codec_config(args) -> CodecConfig:
-    return CodecConfig(block_size=args.block_size,
-                       quant_step=args.quant_step,
-                       rate_tolerance=args.rate_tolerance)
+    """CodecConfig from the parsed codec flags; omitted fields keep their default."""
+    return CodecConfig(**{f.name: getattr(args, f.name)
+                          for f in dataclasses.fields(CodecConfig)
+                          if hasattr(args, f.name)})
 
 
 def _load_scenario(path: str):
@@ -42,7 +46,7 @@ def _load_scenario(path: str):
 
 def cmd_plan(args) -> int:
     _, doc = _load_scenario(args.scenario)
-    plan = optimize(doc.scenario, SolverConfig(seed=args.seed))
+    plan = optimize(doc.scenario)
     issues = validate_plan(plan, doc.scenario)
     if issues:
         raise ValidationError("; ".join(issues))
@@ -116,15 +120,12 @@ def cmd_simulate(args) -> int:
     for node_id, rel in doc.image_paths.items():
         path = Path(rel)
         images[node_id] = read_image(path if path.is_absolute() else base / path)
-    solver_cfg = SolverConfig(seed=args.seed)
     codec_cfg = _codec_config(args)
-    result = simulate(doc.scenario, images, solver_cfg, codec_cfg,
-                      align_alpha=args.alpha, seed=args.seed,
-                      ratio_override=args.ratio_override)
-    result.manifest = manifest_for(text, args.seed, solver_cfg, codec_cfg,
-                                   args.alpha, args.ratio_override,
-                                   scenario_path=str(args.scenario))
-    write_outputs(result, doc.scenario, args.outdir)
+    result = simulate(doc.scenario, images, codec_cfg, args.alpha,
+                      args.ratio_override)
+    manifest = manifest_for(text, args.seed, codec_cfg, args.alpha,
+                            args.ratio_override, scenario_path=str(args.scenario))
+    write_outputs(result, doc.scenario, args.outdir, manifest)
     print(f"simulated {result.report.n_links} links; "
           f"avg delay {result.report.avg_delay_s:.9g} s; outputs in {args.outdir}")
     return 0
@@ -139,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="optimize a communication plan")
     p_plan.add_argument("--scenario", required=True)
-    p_plan.add_argument("--seed", type=int, required=True)
+    p_plan.add_argument("--seed", type=int, required=True,
+                        help="required, but the exact planner uses no seed")
     p_plan.add_argument("--outdir", default="plan_out")
     p_plan.set_defaults(func=cmd_plan)
 
@@ -171,11 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="full plan/compress/align/score run")
     p_sim.add_argument("--scenario", required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--seed", type=int, required=True,
+                       help="recorded in manifest.json; changes no other output")
     p_sim.add_argument("--outdir", required=True)
     p_sim.add_argument("--alpha", type=float, default=0.0)
     p_sim.add_argument("--ratio-override", type=float, default=None)
-    _codec_flags(p_sim)
+    _codec_flags(p_sim, omit=("quant_step",))  # rate control picks the step
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

@@ -56,7 +56,10 @@ def read_image(path) -> np.ndarray:
     if len(payload) != expected:
         raise ImageFormatError(
             f"payload has {len(payload)} bytes, expected {expected}")
-    arr = np.frombuffer(payload, dtype=np.uint8).astype(float) / maxval
+    samples = np.frombuffer(payload, dtype=np.uint8)
+    if samples.max() > maxval:
+        raise ImageFormatError(f"sample {samples.max()} exceeds maxval {maxval}")
+    arr = samples.astype(float) / maxval
     if channels == 1:
         return arr.reshape(height, width)
     return arr.reshape(height, width, 3)

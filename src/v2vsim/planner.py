@@ -77,10 +77,8 @@ class CommPlan:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Planner settings.
-
-    The planner is exact and deterministic: ``seed`` is recorded in the run
-    manifest and changes no plan.
+    """Unused by the package: kept only for the benchmark's ``optimize``
+    calls under ``perfbench/``.  ``seed`` changes no plan.
     """
 
     seed: int = 0
@@ -193,9 +191,10 @@ def _plan_from_selection(scenario: Scenario, candidates: Candidates,
 def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
     """Plan links and compression ratios minimizing the average delay.
 
-    Exact and deterministic (see the module docstring); ``cfg`` changes no
-    plan, its seed is only recorded in run manifests.  Raises InfeasibleError
-    when no selection can satisfy the link budget and the ego-link floor.
+    Exact and deterministic (see the module docstring).  ``cfg`` is ignored;
+    it stays only for the benchmark's ``optimize(scenario, SolverConfig(...))``
+    calls.  Raises InfeasibleError when no selection can satisfy the link
+    budget and the ego-link floor.
     """
     if len(scenario.nodes) < 2:
         raise InfeasibleError("planning needs at least two nodes")

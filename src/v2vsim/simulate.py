@@ -3,8 +3,8 @@
 For every selected link the source node's image is rate-controlled to the
 plan's compression ratio, decoded, aligned to the ego image's spectral style,
 and scored against the original.  All outputs are deterministic functions of
-the manifest (scenario + configs + seed), which is what makes reruns byte-
-identical.
+what the manifest records (scenario, codec config, alpha, ratio override),
+which is what makes reruns byte-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from .codec import CodecConfig, EntropyModel, rate_control, decode
 from .errors import ValidationError
 from .fourier import align
 from .metrics import QualityReport, REPORT_HEADER, mse, ms_ssim, psnr, _fmt
-from .planner import CommPlan, SolverConfig, optimize
+from .planner import CommPlan, optimize
 
 
 @dataclass
@@ -53,7 +53,6 @@ class RunManifest:
 
     seed: int
     scenario_sha256: str
-    solver: dict
     codec: dict
     align_alpha: float
     ratio_override: float | None = None
@@ -70,18 +69,15 @@ class SimulationResult:
     plan: CommPlan
     report: QualityReport
     links: list[LinkRecord]
-    manifest: RunManifest
 
 
-def manifest_for(scenario_text: str, seed: int, solver_cfg: SolverConfig,
-                 codec_cfg: CodecConfig, align_alpha: float,
-                 ratio_override: float | None = None,
+def manifest_for(scenario_text: str, seed: int, codec_cfg: CodecConfig,
+                 align_alpha: float, ratio_override: float | None = None,
                  scenario_path: str = "") -> RunManifest:
     digest = hashlib.sha256(scenario_text.encode("utf-8")).hexdigest()
     return RunManifest(
         seed=seed,
         scenario_sha256=digest,
-        solver=asdict(solver_cfg),
         codec=asdict(codec_cfg),
         align_alpha=align_alpha,
         ratio_override=ratio_override,
@@ -90,19 +86,16 @@ def manifest_for(scenario_text: str, seed: int, solver_cfg: SolverConfig,
 
 
 def simulate(scenario: Scenario, images: dict[int, np.ndarray],
-             solver_cfg: SolverConfig, codec_cfg: CodecConfig,
-             align_alpha: float, seed: int,
-             ratio_override: float | None = None,
-             entropy_model: EntropyModel | None = None) -> SimulationResult:
-    """Run the full pipeline once.
+             codec_cfg: CodecConfig, align_alpha: float,
+             ratio_override: float | None = None) -> SimulationResult:
+    """Run the full pipeline once; build its manifest with ``manifest_for``.
 
     ``images`` maps node ids to arrays.  The orchestration guarantees the
     ratio handed to the codec on each link is exactly the plan's entry for
     that link; ``ratio_override`` rewrites the plan's selected ratios (and
     its delays, which depend on them) before anything is transmitted.
     """
-    cfg = SolverConfig(**{**asdict(solver_cfg), "seed": seed})
-    plan = optimize(scenario, cfg)
+    plan = optimize(scenario)
     if ratio_override is not None:
         if not (0 < ratio_override <= 1):
             raise ValidationError("ratio_override must lie in (0, 1]")
@@ -115,7 +108,7 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
         avg = float(delays[sel].sum() / sel.sum())
         plan = CommPlan(plan.link_matrix, compression, plan.rates, delays, avg)
 
-    em = entropy_model if entropy_model is not None else EntropyModel.generic()
+    em = EntropyModel.generic()
     ego = scenario.ego_index
     ego_id = scenario.ego_id
     ego_image = images.get(ego_id)
@@ -166,11 +159,7 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
         mean_ms_ssim=float(np.mean([r.ms_ssim for r in records])) if records else math.nan,
         mean_mse=float(np.mean([r.mse for r in records])) if records else math.nan,
     )
-    manifest = RunManifest(seed=seed, scenario_sha256="",
-                           solver=asdict(cfg), codec=asdict(codec_cfg),
-                           align_alpha=align_alpha, ratio_override=ratio_override)
-    return SimulationResult(plan=plan, report=report, links=records,
-                            manifest=manifest)
+    return SimulationResult(plan=plan, report=report, links=records)
 
 
 def plan_matrix_report(plan: CommPlan) -> str:
@@ -217,11 +206,13 @@ def plan_csv(plan: CommPlan, scenario: Scenario) -> str:
     return "\n".join(rows) + "\n"
 
 
-def write_outputs(result: SimulationResult, scenario: Scenario, outdir) -> dict[str, str]:
-    """Write plan/report/link CSVs plus the manifest; returns path map.
+def write_outputs(result: SimulationResult, scenario: Scenario, outdir,
+                  manifest: RunManifest) -> dict[str, str]:
+    """Write plan/report/link CSVs plus ``manifest``; returns the path map.
 
-    The manifest records file names relative to the output directory so an
-    identical run into a different directory yields byte-identical files.
+    The manifest is written with that map as its ``outputs``: file names
+    relative to the output directory, so an identical run into a different
+    directory yields byte-identical files.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -243,6 +234,6 @@ def write_outputs(result: SimulationResult, scenario: Scenario, outdir) -> dict[
     (outdir / "links.csv").write_bytes(("\n".join(links_rows) + "\n").encode())
     report_text = REPORT_HEADER + "\n" + result.report.to_csv_row() + "\n"
     (outdir / "report.csv").write_bytes(report_text.encode())
-    result.manifest.outputs = paths
-    (outdir / "manifest.json").write_bytes(result.manifest.to_json().encode())
+    manifest = replace(manifest, outputs=paths)
+    (outdir / "manifest.json").write_bytes(manifest.to_json().encode())
     return paths

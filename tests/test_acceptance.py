@@ -15,7 +15,7 @@ from v2vsim.codec import (CodecConfig, EntropyModel, decode,
                           encode, rate_control, refine_model)
 from v2vsim.fourier import align, dft2, domain_gap, idft2, low_freq_mask, mix_amplitude
 from v2vsim.metrics import iou, ms_ssim, psnr
-from v2vsim.planner import SolverConfig, exhaustive_optimum, optimize, validate_plan
+from v2vsim.planner import exhaustive_optimum, optimize, validate_plan
 from v2vsim.scenario_io import format_scenario
 from v2vsim.simulate import manifest_for, simulate, write_outputs
 from v2vsim.synth import (codec_fixture_images, gradient_image, random_scenario,
@@ -33,7 +33,7 @@ def test_criterion_1_solver_tracks_oracle():
     violations = 0
     for seed in range(100):
         scenario = random_scenario(seed, max_nodes=4, max_subchannels=4)
-        plan = optimize(scenario, SolverConfig(seed=seed))
+        plan = optimize(scenario)
         oracle = exhaustive_optimum(scenario)
         if validate_plan(plan, scenario):
             violations += 1
@@ -50,7 +50,7 @@ def test_criterion_2_constraint_suite():
     bad = []
     for seed in range(40):
         scenario = random_scenario(seed)
-        for plan in (optimize(scenario, SolverConfig(seed=seed)),
+        for plan in (optimize(scenario),
                      exhaustive_optimum(scenario)):
             issues = validate_plan(plan, scenario)
             checked += 1
@@ -212,12 +212,10 @@ def test_criterion_8_simulation_determinism(tmp_path):
     for run in ("one", "two"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = simulate(scenario, images, SolverConfig(), CodecConfig(),
-                              align_alpha=0.05, seed=31)
-        result.manifest = manifest_for(format_scenario(scenario), 31,
-                                       SolverConfig(seed=31), CodecConfig(), 0.05)
+            result = simulate(scenario, images, CodecConfig(), align_alpha=0.05)
+        manifest = manifest_for(format_scenario(scenario), 31, CodecConfig(), 0.05)
         outdir = tmp_path / run
-        write_outputs(result, scenario, outdir)
+        write_outputs(result, scenario, outdir, manifest)
         dirs.append(outdir)
     identical = all((dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
                     for name in ("report.csv", "links.csv", "plan.csv",

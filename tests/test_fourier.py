@@ -312,3 +312,10 @@ class TestImageIO:
         path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
         with pytest.raises(ImageFormatError):
             read_image(path)
+
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        # a sample of 200 under maxval 100 would read as 2.0, outside [0, 1]
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n\x64\xc8")
+        with pytest.raises(ImageFormatError, match="exceeds maxval"):
+            read_image(path)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from v2vsim.channel import ChannelParams, Scenario, VehicleNode, capacity_matrix
 from v2vsim.errors import InfeasibleError, SizeError, ValidationError
-from v2vsim.planner import (CommPlan, SolverConfig, _candidates, average_delay,
+from v2vsim.planner import (CommPlan, _candidates, average_delay,
                             compression_lower_bound, exhaustive_optimum,
                             optimize, transmission_delay, validate_plan)
 from v2vsim.synth import random_scenario
@@ -76,7 +76,7 @@ class TestAverageDelay:
     def test_random_plan_matches_double_loop(self):
         rng = np.random.default_rng(11)
         s = random_scenario(11)
-        plan = optimize(s, SolverConfig(seed=11))
+        plan = optimize(s)
         total, count = 0.0, 0
         for i in range(len(s.nodes)):
             for j in range(len(s.nodes)):
@@ -94,7 +94,7 @@ class TestAverageDelay:
 
 class TestOptimize:
     def test_two_node_unique_plan(self, two_node_scenario):
-        plan = optimize(two_node_scenario, SolverConfig(seed=0))
+        plan = optimize(two_node_scenario)
         oracle = exhaustive_optimum(two_node_scenario)
         # single feasible selection: the collaborator's link into ego
         assert plan.selected_links() == [(1, 0)]
@@ -112,7 +112,7 @@ class TestOptimize:
             transmission_delay(lb, 8e6, caps[1, 0]), rel=1e-12)
 
     def test_symmetric_collaborators_both_selected(self, symmetric_three_node):
-        plan = optimize(symmetric_three_node, SolverConfig(seed=5))
+        plan = optimize(symmetric_three_node)
         assert plan.link_matrix[1, 0] == 1 and plan.link_matrix[2, 0] == 1
         assert plan.num_links == 2
         assert plan.delays[1, 0] == pytest.approx(plan.delays[2, 0], rel=1e-12)
@@ -125,19 +125,19 @@ class TestOptimize:
                      ego_id=0, data_volumes_bits=np.zeros((3, 3)),
                      channel=params, beta=0.5, min_ego_links=2)
         with pytest.raises(InfeasibleError, match="link budget"):
-            optimize(s, SolverConfig(seed=0))
+            optimize(s)
 
     def test_single_node_infeasible(self, basic_params):
         s = Scenario(nodes=[VehicleNode(0, 0.0, 0.0)], ego_id=0,
                      data_volumes_bits=np.zeros((1, 1)),
                      channel=basic_params, beta=0.5)
         with pytest.raises(InfeasibleError):
-            optimize(s, SolverConfig(seed=0))
+            optimize(s)
 
     def test_deterministic_given_seed(self):
         s = random_scenario(21)
-        a = optimize(s, SolverConfig(seed=99))
-        b = optimize(s, SolverConfig(seed=99))
+        a = optimize(s)
+        b = optimize(s)
         assert np.array_equal(a.link_matrix, b.link_matrix)
         assert np.array_equal(a.compression, b.compression)
         assert np.array_equal(a.rates, b.rates)
@@ -205,14 +205,14 @@ class TestOptimize:
     @pytest.mark.parametrize("seed", range(0, 40, 7))
     def test_never_violates_constraints(self, seed):
         s = random_scenario(seed)
-        plan = optimize(s, SolverConfig(seed=seed))
+        plan = optimize(s)
         assert validate_plan(plan, s) == []
 
 
 class TestExhaustiveOptimum:
     def test_matches_optimize_on_two_nodes(self, two_node_scenario):
         assert (exhaustive_optimum(two_node_scenario).avg_delay_s
-                == optimize(two_node_scenario, SolverConfig(seed=3)).avg_delay_s)
+                == optimize(two_node_scenario).avg_delay_s)
 
     def test_dominated_link_excluded(self, basic_params):
         params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=6,
@@ -237,7 +237,7 @@ class TestExhaustiveOptimum:
         assert len(s.nodes) == 4
         plan = exhaustive_optimum(s)
         assert plan.avg_delay_s == pytest.approx(0.006303611910759878, rel=1e-12)
-        assert optimize(s, SolverConfig(seed=100)).avg_delay_s == plan.avg_delay_s
+        assert optimize(s).avg_delay_s == plan.avg_delay_s
 
     def test_size_cap(self, basic_params):
         nodes = [VehicleNode(k, 10.0 * k, 0.0) for k in range(6)]
@@ -253,7 +253,7 @@ class TestPlanProperties:
         # raising any selected ratio or cutting any selected rate never
         # lowers the average delay
         s = random_scenario(seed)
-        plan = optimize(s, SolverConfig(seed=seed))
+        plan = optimize(s)
         base = average_delay(plan)
         for i, j in plan.selected_links():
             vol = s.data_volumes_bits[i, j]
@@ -277,7 +277,7 @@ class TestPlanProperties:
 
     def test_validator_catches_corruption(self):
         s = random_scenario(8)
-        plan = optimize(s, SolverConfig(seed=8))
+        plan = optimize(s)
         # rate above capacity
         rates = plan.rates.copy()
         i, j = plan.selected_links()[0]

@@ -1,23 +1,26 @@
+import importlib.util
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import v2vsim
 from v2vsim.channel import ChannelParams, Scenario, VehicleNode
-from v2vsim.cli import build_parser, cmd_plan, main
+from v2vsim.cli import _codec_config, build_parser, cmd_plan, main
 from v2vsim.codec import CodecConfig, EntropyModel, decode, rate_control
 from v2vsim.errors import ValidationError
 from v2vsim.fourier import align
 from v2vsim.image_io import read_image, write_image
 from v2vsim.metrics import REPORT_HEADER, _fmt, mse, psnr
-from v2vsim.planner import CommPlan, SolverConfig, optimize, validate_plan
+from v2vsim.planner import CommPlan, optimize, validate_plan
 from v2vsim.scenario_io import format_scenario
 from v2vsim.simulate import (LINKS_HEADER, manifest_for, plan_matrix_report,
                              simulate, write_outputs)
@@ -70,8 +73,7 @@ class TestSimulate:
         img = gradient_image()
         s = two_node(float(img.size * 8))
         result = quiet_simulate(s, {0: gradient_image(), 1: sine_image()},
-                                SolverConfig(), CodecConfig(),
-                                align_alpha=0.0, seed=3, ratio_override=1.0)
+                                CodecConfig(), align_alpha=0.0, ratio_override=1.0)
         assert result.report.n_links == 1
         assert result.report.mean_psnr_db > 50.0
         assert validate_plan(result.plan, s) == []
@@ -80,8 +82,7 @@ class TestSimulate:
         img = sine_image()
         s = two_node(float(img.size * 8))
         result = quiet_simulate(s, {0: gradient_image(), 1: img},
-                                SolverConfig(), CodecConfig(),
-                                align_alpha=0.1, seed=3)
+                                CodecConfig(), align_alpha=0.1)
         (record,) = result.links
         i = s.index_of(record.src)
         j = s.index_of(record.dst)
@@ -91,8 +92,7 @@ class TestSimulate:
         img = sine_image()
         s = three_node_symmetric(float(img.size * 8))
         result = quiet_simulate(s, {0: gradient_image(), 1: img, 2: img.copy()},
-                                SolverConfig(), CodecConfig(),
-                                align_alpha=0.05, seed=11)
+                                CodecConfig(), align_alpha=0.05)
         assert result.report.n_links == 2
         a, b = result.links
         assert a.delay_s == pytest.approx(b.delay_s, rel=1e-12)
@@ -104,11 +104,9 @@ class TestSimulate:
         img = sine_image()
         ego_img = gradient_image()
         s = two_node(float(img.size * 8))
-        solver = SolverConfig()
         codec = CodecConfig()
         alpha = 0.1
-        result = quiet_simulate(s, {0: ego_img, 1: img}, solver, codec,
-                                align_alpha=alpha, seed=9)
+        result = quiet_simulate(s, {0: ego_img, 1: img}, codec, align_alpha=alpha)
         (record,) = result.links
         em = EntropyModel.generic()
         step, frame = rate_control(img, record.ratio, em, codec)
@@ -125,7 +123,7 @@ class TestSimulate:
         s = three_node_symmetric(float(img.size * 8))
         codec = CodecConfig()
         result = quiet_simulate(s, {0: gradient_image(), 1: img, 2: img.copy()},
-                                SolverConfig(), codec, align_alpha=0.0, seed=2)
+                                codec, align_alpha=0.0)
         total_budget = sum(r.ratio * img.size * 8 for r in result.links)
         total_bits = sum(r.bits for r in result.links)
         assert total_bits <= (1 + codec.rate_tolerance) * total_budget
@@ -133,14 +131,12 @@ class TestSimulate:
     def test_missing_source_image_names_link(self):
         s = two_node(1e6)
         with pytest.raises(ValidationError, match="1->0"):
-            quiet_simulate(s, {0: gradient_image()}, SolverConfig(),
-                           CodecConfig(), align_alpha=0.0, seed=1)
+            quiet_simulate(s, {0: gradient_image()}, CodecConfig(), align_alpha=0.0)
 
     def test_missing_ego_image_for_alignment(self):
         s = two_node(1e6)
         with pytest.raises(ValidationError, match="ego"):
-            quiet_simulate(s, {1: sine_image()}, SolverConfig(), CodecConfig(),
-                           align_alpha=0.1, seed=1)
+            quiet_simulate(s, {1: sine_image()}, CodecConfig(), align_alpha=0.1)
 
     def test_byte_identical_reruns(self, tmp_path):
         img = sine_image()
@@ -148,13 +144,10 @@ class TestSimulate:
         images = {0: gradient_image(), 1: img, 2: img.copy()}
         outputs = []
         for run in ("a", "b"):
-            result = quiet_simulate(s, images, SolverConfig(), CodecConfig(),
-                                    align_alpha=0.05, seed=21)
-            result.manifest = manifest_for(format_scenario(s), 21,
-                                           SolverConfig(seed=21), CodecConfig(),
-                                           0.05)
+            result = quiet_simulate(s, images, CodecConfig(), align_alpha=0.05)
+            manifest = manifest_for(format_scenario(s), 21, CodecConfig(), 0.05)
             outdir = tmp_path / run
-            write_outputs(result, s, outdir)
+            write_outputs(result, s, outdir, manifest)
             outputs.append(outdir)
         for name in ("report.csv", "links.csv", "plan.csv", "plan.txt",
                      "manifest.json"):
@@ -165,11 +158,9 @@ class TestSimulate:
         img = sine_image()
         s = two_node(float(img.size * 8))
         result = quiet_simulate(s, {0: gradient_image(), 1: img},
-                                SolverConfig(), CodecConfig(),
-                                align_alpha=0.0, seed=5)
-        result.manifest = manifest_for(format_scenario(s), 5,
-                                       SolverConfig(seed=5), CodecConfig(), 0.0)
-        write_outputs(result, s, tmp_path)
+                                CodecConfig(), align_alpha=0.0)
+        manifest = manifest_for(format_scenario(s), 5, CodecConfig(), 0.0)
+        write_outputs(result, s, tmp_path, manifest)
         assert (tmp_path / "report.csv").read_text().splitlines()[0] == REPORT_HEADER
         assert (tmp_path / "links.csv").read_text().splitlines()[0] == LINKS_HEADER
 
@@ -233,8 +224,7 @@ class TestPlanMatrixReportBytes:
         img = sine_image()
         result = quiet_simulate(three_node_symmetric(float(img.size * 8)),
                                 {0: gradient_image(), 1: img, 2: img},
-                                SolverConfig(), CodecConfig(), align_alpha=0.0,
-                                seed=3, ratio_override=0.3)
+                                CodecConfig(), align_alpha=0.0, ratio_override=0.3)
         assert result.plan.num_links == 2
         assert plan_matrix_report(result.plan) == reference_matrix_report(result.plan)
 
@@ -277,6 +267,22 @@ class TestCli:
                    "--outdir", str(scenario_dir / "oracle")])
         assert rc == 0
         assert (scenario_dir / "oracle" / "plan.csv").exists()
+
+    def test_simulate_has_no_quant_step_flag(self, scenario_dir, capsys):
+        # rate control picks the step; the flag could only change the manifest
+        rc = main(["simulate", "--scenario", str(scenario_dir / "scene.scn"),
+                   "--seed", "1", "--outdir", str(scenario_dir / "o"),
+                   "--quant-step", "0.3"])
+        assert rc == 2
+        assert "--quant-step" in capsys.readouterr().err
+        assert not (scenario_dir / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["codec", "encode", "--out", "f.vcq"],
+        ["simulate", "--scenario", "s.scn", "--seed", "1", "--outdir", "o"],
+    ])
+    def test_codec_flag_defaults_are_the_dataclass_defaults(self, argv):
+        assert _codec_config(build_parser().parse_args(argv)) == CodecConfig()
 
     def test_plan_requires_seed(self, scenario_dir, capsys):
         rc = main(["plan", "--scenario", str(scenario_dir / "scene.scn")])
@@ -453,14 +459,51 @@ class TestCli:
                               "outdir": "plan_out", "func": cmd_plan}
 
 
-def test_cli_import_skips_scipy_signal():
-    # no SciPy module at all: scipy.signal took 0.8-1.0 s of a 1.2-1.5 s
-    # `import v2vsim.cli` on a 2-vCPU Xeon, and scipy.fft about 0.3-0.4 s more
+def modules_loaded_by(statement: str) -> set[str]:
+    """Names in sys.modules after ``statement`` runs in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(v2vsim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, v2vsim.cli; "
-            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    code = f"import sys; {statement}; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+def test_cli_import_skips_scipy_signal():
+    # no SciPy module at all: scipy.signal took 0.8-1.0 s of a 1.2-1.5 s
+    # `import v2vsim.cli` on a 2-vCPU Xeon, and scipy.fft about 0.3-0.4 s more
+    loaded = modules_loaded_by("import v2vsim.cli")
+    assert not any(m.split(".")[0] == "scipy" for m in loaded)
+
+
+def test_planner_import_loads_no_codec_alignment_or_driver():
+    # the package re-exports nothing, so a submodule pulls in only its imports
+    loaded = modules_loaded_by("import v2vsim.planner")
+    assert "v2vsim.planner" in loaded
+    assert not loaded & {"v2vsim.codec", "v2vsim.fourier", "v2vsim.simulate"}
+
+
+def test_submodule_import_binds_the_module():
+    import v2vsim.simulate as m
+    assert isinstance(m, types.ModuleType)
+    assert m.simulate is simulate
+
+
+def test_pipeline_demo_reruns_byte_identical_through_cli(tmp_path, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_pipeline_demo.py"
+    spec = importlib.util.spec_from_file_location("run_pipeline_demo", script)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    outdir = tmp_path / "demo"
+    assert demo.main(["--outdir", str(outdir)]) == 0
+    printed = capsys.readouterr().out
+    assert "1->0: ratio" in printed and "2->0: ratio" in printed
+    # the rerun command exactly as the demo's docstring documents it
+    (command,) = [line.strip() for line in demo.__doc__.splitlines()
+                  if line.strip().startswith("v2vsim simulate")]
+    argv = command.replace("<outdir>", str(outdir)).split()[1:]
+    assert main(argv) == 0
+    for name in ("plan.txt", "plan.csv", "links.csv", "report.csv",
+                 "manifest.json"):
+        assert (outdir / name).read_bytes() == (outdir / "rerun" / name).read_bytes(), name
