@@ -56,10 +56,10 @@ class CodecConfig:
     def __post_init__(self):
         if self.block_size < 1:
             raise ValidationError("block_size must be >= 1")
-        if self.quant_step <= 0:
-            raise ValidationError("quant_step must be positive")
-        if self.rate_tolerance < 0:
-            raise ValidationError("rate_tolerance must be non-negative")
+        if not (0 < self.quant_step < math.inf):
+            raise ValidationError("quant_step must be positive and finite")
+        if not (0 <= self.rate_tolerance < math.inf):
+            raise ValidationError("rate_tolerance must be non-negative and finite")
 
 
 class EntropyModel:
@@ -171,6 +171,13 @@ def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
     return arr, _blockwise(np.pad(arr, pad, mode="edge"), block, forward=True)
 
 
+def _check_step_fits(coeffs: np.ndarray, step: float) -> None:
+    """Reject a step so fine that ``coeffs / step`` leaves the int64 range."""
+    if np.abs(coeffs).max() >= 2.0 ** 62 * step:
+        raise ValidationError(
+            f"quant_step {step:g} is too fine: quantized coefficients overflow int64")
+
+
 def _quantize_and_price(arr: np.ndarray, coeffs: np.ndarray, step: float,
                         block: int, em: EntropyModel) -> EncodedFrame:
     q = np.round(coeffs / step).astype(np.int64)
@@ -184,6 +191,7 @@ def _quantize_and_price(arr: np.ndarray, coeffs: np.ndarray, step: float,
 def encode(img: np.ndarray, cfg: CodecConfig, em: EntropyModel) -> EncodedFrame:
     """Transform, quantize, and price an image under the entropy model."""
     arr, coeffs = _transform(img, cfg.block_size)
+    _check_step_fits(coeffs, cfg.quant_step)
     return _quantize_and_price(arr, coeffs, cfg.quant_step, cfg.block_size, em)
 
 
@@ -256,6 +264,7 @@ def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
     counts = np.zeros(2 * em.radius + 1)
     for raw in raw_frames:
         _, coeffs = _transform(raw, cfg.block_size)
+        _check_step_fits(coeffs, cfg.quant_step)
         q = np.round(coeffs / cfg.quant_step).astype(np.int64)
         symbols = em.clip_symbols(q) + em.radius
         counts += np.bincount(symbols.ravel(), minlength=2 * em.radius + 1)

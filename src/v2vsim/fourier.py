@@ -81,13 +81,18 @@ def idft2(spec: Spectrum) -> np.ndarray:
     return np.fft.ifft2(field, axes=(0, 1)).real
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject an alignment alpha outside [0, 1), NaN included."""
+    if not (0 <= alpha < 1):
+        raise ValidationError("alpha must lie in [0, 1)")
+
+
 def _half_widths(alpha: float, height: int, width: int) -> tuple[int, int]:
     """Half-widths floor(alpha * H), floor(alpha * W) of the low-frequency rectangle.
 
     alpha == 0 gives (-1, -1), the empty rectangle.
     """
-    if not (0 <= alpha < 1):
-        raise ValidationError("alpha must lie in [0, 1)")
+    check_alpha(alpha)
     if alpha == 0:
         return -1, -1
     return math.floor(alpha * height), math.floor(alpha * width)

@@ -29,8 +29,11 @@ and delay(f) >= delay(e); swapping f for e keeps S feasible and does not
 raise its sum.  Once E is inside S, the other k - need links of S come from
 the candidates outside E, and the k - need cheapest of those cost no more.
 So E plus those links is optimal at size k, and a scan over k <= budget on
-one delay ordering, with prefix sums, finds the optimum in O(K log K) for K
-candidates.
+one delay ordering, with prefix sums, finds the optimum.  Only the first
+``budget`` links of that ordering are ever scanned, so nothing sorts all K
+candidates: E comes from the at most n - 1 ego-inbound links, and the rest
+from a partition at the ``budget - need``-th smallest delay, which costs O(K),
+followed by a sort of the candidates at or below that cut.
 
 Ties: where several link sets reach exactly the same average (in practice
 sets that differ in idle pairs, whose zero volume gives delay 0), the plan
@@ -205,10 +208,20 @@ def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
 
     # candidates come in row-major (src, dst) order, so a stable sort on
     # delay alone orders them by (delay, src, dst)
-    order = np.argsort(candidates.delay_s, kind="stable")
-    ego_rank = np.flatnonzero(candidates.dst[order] == scenario.ego_index)[:need]
-    rest = np.delete(order, ego_rank)[:budget - need]
-    prefix = np.concatenate((order[ego_rank], rest))
+    delay = candidates.delay_s
+    ego = np.flatnonzero(candidates.dst == scenario.ego_index)
+    forced = ego[np.argsort(delay[ego], kind="stable")[:need]]
+    pool = np.ones(len(candidates), dtype=bool)
+    pool[forced] = False
+    others = np.flatnonzero(pool)
+    extra = budget - need
+    if 0 < extra < len(others):
+        # keep every candidate up to the extra-th smallest delay, ties included,
+        # so the stable sort below still meets them in (delay, src, dst) order
+        cut = np.partition(delay[others], extra - 1)[extra - 1]
+        others = others[delay[others] <= cut]
+    rest = others[np.argsort(delay[others], kind="stable")[:extra]]
+    prefix = np.concatenate((forced, rest))
     # average of the first k links for k = need .. len(prefix); argmin keeps
     # the smallest k among equal averages
     averages = (np.cumsum(candidates.delay_s[prefix])[need - 1:]

@@ -22,7 +22,7 @@ from . import __version__ as _pkg_version
 from .channel import Scenario
 from .codec import CodecConfig, EntropyModel, rate_control, decode
 from .errors import ValidationError
-from .fourier import align
+from .fourier import align, check_alpha
 from .metrics import QualityReport, REPORT_HEADER, mse, ms_ssim, psnr, _fmt
 from .planner import CommPlan, optimize
 
@@ -93,8 +93,10 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
     ``images`` maps node ids to arrays.  The orchestration guarantees the
     ratio handed to the codec on each link is exactly the plan's entry for
     that link; ``ratio_override`` rewrites the plan's selected ratios (and
-    its delays, which depend on them) before anything is transmitted.
+    its delays, which depend on them) before anything is transmitted.  An
+    ``align_alpha`` outside [0, 1), NaN included, is rejected before planning.
     """
+    check_alpha(align_alpha)
     plan = optimize(scenario)
     if ratio_override is not None:
         if not (0 < ratio_override <= 1):
@@ -165,22 +167,31 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
 def plan_matrix_report(plan: CommPlan) -> str:
     """Human-readable matrix dump of a plan.
 
-    Each distinct value of a matrix is formatted once and the text gathered
-    back through ``np.unique``'s inverse index.  A plan holds few distinct
-    values: at most ``num_subchannels`` links are selected and every other
-    entry shares one value, so this is much cheaper than one ``format`` call
-    per element.  Floats are keyed by their bit pattern, so ``-0.0`` and
-    ``0.0`` (and NaN payloads) keep their own text.
+    At most ``num_subchannels`` links are selected and every other entry of a
+    matrix shares the value of its diagonal.  So each block formats
+    ``matrix[0, 0]`` once, writes every row as that value repeated, and
+    formats only the entries that differ from it, patching them into their
+    rows.  Floats are compared by bit pattern, so ``-0.0`` and ``0.0`` (and
+    NaN payloads) keep their own text.  The result equals one ``format``
+    call per element.
     """
     out = []
 
     def block(title: str, matrix: np.ndarray, fmt: str) -> None:
-        keys = matrix.view(f"u{matrix.itemsize}") if matrix.dtype.kind == "f" else matrix
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        texts = np.array([format(v, fmt) for v in distinct.view(matrix.dtype).tolist()],
-                         dtype=object)
+        n_rows, n_cols = matrix.shape
+        rows = [""] * n_rows
+        if matrix.size:
+            keys = matrix.view(f"u{matrix.itemsize}") if matrix.dtype.kind == "f" else matrix
+            base = format(matrix.flat[0].item(), fmt)
+            rows = [" ".join([base] * n_cols)] * n_rows
+            patched: dict[int, list[str]] = {}
+            r, c = np.nonzero(keys != keys.flat[0])
+            for i, j, v in zip(r.tolist(), c.tolist(), matrix[r, c].tolist()):
+                patched.setdefault(i, [base] * n_cols)[j] = format(v, fmt)
+            for i, cells in patched.items():
+                rows[i] = " ".join(cells)
         out.append(title)
-        out.extend(" ".join(row) for row in texts[inverse.reshape(matrix.shape)].tolist())
+        out.extend(rows)
         out.append("")
 
     block("link matrix", plan.link_matrix, "d")

@@ -140,6 +140,21 @@ class TestEncodeDecode:
         with pytest.raises(ValidationError):
             encode(np.zeros((0, 4)), CodecConfig(), generic)
 
+    @pytest.mark.parametrize("field, value", [
+        ("quant_step", math.nan), ("quant_step", math.inf),
+        ("rate_tolerance", math.nan), ("rate_tolerance", math.inf),
+        ("rate_tolerance", -0.5)])
+    def test_non_finite_or_negative_config_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            CodecConfig(**{field: value})
+
+    def test_step_too_fine_for_int64_rejected(self, generic):
+        # 1e-300 would overflow the int64 cast and wrap coefficients silently
+        with pytest.raises(ValidationError, match="too fine"):
+            encode(sine_image(16, 16), CodecConfig(quant_step=1e-300), generic)
+        with pytest.raises(ValidationError, match="too fine"):
+            refine_model(generic, [sine_image(16, 16)], CodecConfig(quant_step=1e-300))
+
     def test_deterministic(self, generic):
         img = sine_image()
         a = encode(img, CodecConfig(quant_step=0.1), generic)

@@ -1,4 +1,4 @@
-"""Fuzz tests of the three readers of outside input.
+"""Fuzz tests of the three readers of outside input and of the CLI's flags.
 
 Every input ends in a result or in the reader's documented typed error:
 ``ValidationError`` for frame containers and scenario files (exit 2 in the
@@ -6,16 +6,24 @@ CLI), ``ImageFormatError`` for PGM/PPM files (exit 4).  Anything else would
 reach the user as a traceback.
 """
 
+import contextlib
+import io
+import json
+import shutil
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from v2vsim.channel import ChannelParams, Scenario, VehicleNode
+from v2vsim.cli import main
 from v2vsim.codec import (CodecConfig, EntropyModel, decode, deserialize_frame,
                           encode, serialize_frame)
 from v2vsim.errors import ImageFormatError, ValidationError
-from v2vsim.image_io import read_image
+from v2vsim.image_io import read_image, write_image
 from v2vsim.scenario_io import format_scenario, parse_scenario_document
-from v2vsim.synth import random_scenario, sine_image
+from v2vsim.synth import gradient_image, random_scenario, sine_image
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -90,3 +98,58 @@ def test_pgm_header_mutations(tmp_path_factory, edits, insert, at):
     except ImageFormatError:
         return
     assert img.ndim in (2, 3) and np.all((img >= 0) & (img <= 1))
+
+
+@pytest.fixture(scope="module")
+def cli_fleet(tmp_path_factory):
+    """Two 16x16 PGMs and a two-node scenario whose link carries one image."""
+    root = tmp_path_factory.mktemp("cli_fleet")
+    write_image(root / "ego.pgm", gradient_image(16, 16))
+    write_image(root / "n1.pgm", sine_image(16, 16))
+    params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=1,
+                           transmit_power_w=0.2, noise_level=1e-9)
+    scenario = Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, 30.0, 40.0)],
+                        ego_id=0, data_volumes_bits=np.array([[0.0, 0.0], [2048.0, 0.0]]),
+                        channel=params, beta=0.9)
+    (root / "scene.scn").write_text(format_scenario(scenario, {0: "ego.pgm", 1: "n1.pgm"}))
+    return root
+
+
+FLAG_VALUE = st.one_of(
+    st.none(), st.sampled_from(["0.05", "0.5", "1", "8"]),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0", "0", "1e309", "1e-300", "-1",
+                     "3", "16", "x", ""]))
+COMMAND_FLAGS = {
+    "simulate": ("--alpha", "--rate-tolerance", "--ratio-override", "--block-size"),
+    "encode": ("--rate-tolerance", "--block-size", "--quant-step", "--gamma"),
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"manifest.json holds {name}, which strict JSON forbids")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(command=st.sampled_from(sorted(COMMAND_FLAGS)),
+       values=st.lists(FLAG_VALUE, min_size=4, max_size=4))
+def test_cli_flag_values(cli_fleet, command, values):
+    out = cli_fleet / command
+    shutil.rmtree(out, ignore_errors=True)
+    out.unlink(missing_ok=True)
+    if command == "simulate":
+        argv = ["simulate", "--scenario", str(cli_fleet / "scene.scn"), "--seed", "1",
+                "--outdir", str(out)]
+    else:
+        argv = ["codec", "encode", "--image", str(cli_fleet / "n1.pgm"),
+                "--out", str(out)]
+    for flag, value in zip(COMMAND_FLAGS[command], values):
+        if value is not None:
+            argv += [flag, value]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4), argv
+    if rc == 0 and command == "simulate":
+        json.loads((out / "manifest.json").read_text(), parse_constant=_reject_constant)
+    elif rc == 0:
+        img = decode(deserialize_frame(out.read_bytes()))
+        assert img.shape == (16, 16) and np.all((img >= 0) & (img <= 1))

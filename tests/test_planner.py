@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from v2vsim.channel import ChannelParams, Scenario, VehicleNode, capacity_matrix
 from v2vsim.errors import InfeasibleError, SizeError, ValidationError
-from v2vsim.planner import (CommPlan, _candidates, average_delay,
-                            compression_lower_bound, exhaustive_optimum,
-                            optimize, transmission_delay, validate_plan)
+from v2vsim.planner import (CommPlan, _candidates, _plan_from_selection,
+                            average_delay, compression_lower_bound,
+                            exhaustive_optimum, optimize, transmission_delay,
+                            validate_plan)
 from v2vsim.synth import random_scenario
 
 
@@ -207,6 +209,98 @@ class TestOptimize:
         s = random_scenario(seed)
         plan = optimize(s)
         assert validate_plan(plan, s) == []
+
+
+def random_fleet(rng, n: int, budget: int, idle_frac: float, need: int) -> Scenario:
+    """``n`` nodes over 1 km x 1 km; a share ``idle_frac`` of pairs send nothing."""
+    xy = rng.uniform(-500.0, 500.0, size=(n, 2))
+    volumes = rng.uniform(1e5, 2e7, size=(n, n))
+    volumes[rng.random((n, n)) < idle_frac] = 0.0
+    np.fill_diagonal(volumes, 0.0)
+    params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=budget,
+                           transmit_power_w=0.2, noise_level=1e-9,
+                           pathloss_exponent=2.7, reference_distance_m=10.0)
+    return Scenario(nodes=[VehicleNode(k, float(x), float(y)) for k, (x, y) in enumerate(xy)],
+                    ego_id=0, data_volumes_bits=volumes, channel=params, beta=0.8,
+                    min_ego_links=need)
+
+
+def full_sort_plan(scenario: Scenario) -> CommPlan:
+    """The prefix scan with one stable sort over every candidate."""
+    c = _candidates(scenario)
+    budget, need = scenario.channel.num_subchannels, scenario.min_ego_links
+    order = np.argsort(c.delay_s, kind="stable")
+    ego_rank = np.flatnonzero(c.dst[order] == scenario.ego_index)[:need]
+    rest = np.delete(order, ego_rank)[:budget - need]
+    prefix = np.concatenate((order[ego_rank], rest))
+    averages = (np.cumsum(c.delay_s[prefix])[need - 1:]
+                / np.arange(need, len(prefix) + 1))
+    size = need + int(np.argmin(averages))
+    return _plan_from_selection(scenario, c, prefix[:size])
+
+
+def test_partition_prefix_equals_full_sort_prefix():
+    rng = np.random.default_rng(2024)
+    cases = dict.fromkeys(("no extra", "pool within budget", "cut between delays",
+                           "cut inside a tie run"), 0)
+    for fleet in range(300):
+        n = 2 + int(149 * rng.random() ** 2)  # 2 to 150 nodes, small ones often
+        budget = int(rng.integers(1, 41))
+        need = int(rng.integers(1, min(budget, n - 1) + 1))
+        s = random_fleet(rng, n, budget, float(rng.uniform(0.0, 0.6)), need)
+        plan, expected = optimize(s), full_sort_plan(s)
+        for name in ("link_matrix", "compression", "rates", "delays"):
+            a, b = getattr(plan, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (fleet, name)
+        assert plan.avg_delay_s == expected.avg_delay_s, fleet
+
+        extra, pool = budget - need, n * (n - 1) - need
+        delays = np.sort(_candidates(s).delay_s)
+        cases["no extra"] += extra == 0
+        cases["pool within budget"] += 0 < pool <= extra
+        if 0 < extra < pool:
+            tied = delays[extra - 1] == delays[extra]
+            cases["cut inside a tie run" if tied else "cut between delays"] += 1
+    assert min(cases.values()) >= 10, cases
+
+
+def dinkelbach_average(delay: np.ndarray, inbound: np.ndarray, budget: int,
+                       need: int) -> float:
+    """Least average delay by Dinkelbach's method, one MILP per iteration.
+
+    Each iteration picks the binary link vector minimizing sum((d - lam) x)
+    under the budget and the ego floor, then sets lam to that selection's
+    average, recomputed in Python; lam stops falling at the optimum.
+    """
+    k = len(delay)
+    constraints = [LinearConstraint(np.ones((1, k)), ub=budget),
+                   LinearConstraint(inbound[None, :].astype(float), lb=need)]
+    avg = float(delay.max())  # no selection averages more
+    while True:
+        lam = avg
+        cost = delay - lam
+        # unit-scaled, so that HiGHS's absolute tolerances cannot blur delays
+        res = milp(cost / (np.abs(cost).max() or 1.0), integrality=np.ones(k),
+                   bounds=Bounds(0, 1), constraints=constraints,
+                   options={"mip_rel_gap": 0})
+        assert res.success, res.message
+        chosen = [d for d, x in zip(delay.tolist(), res.x.tolist()) if x > 0.5]
+        avg = sum(chosen) / len(chosen)
+        if not avg < lam:
+            return lam
+
+
+def test_scan_equals_dinkelbach_milp_beyond_the_oracle():
+    rng = np.random.default_rng(5)
+    for fleet in range(40):
+        n = int(rng.integers(6, 15))  # 30 to 182 candidates
+        budget = int(rng.integers(1, 17))
+        need = int(rng.integers(1, min(budget, 4) + 1))
+        s = random_fleet(rng, n, budget, float(rng.uniform(0.0, 0.5)), need)
+        c = _candidates(s)
+        assert 30 <= len(c) <= 200
+        best = dinkelbach_average(c.delay_s, c.dst == s.ego_index, budget, need)
+        assert math.isclose(optimize(s).avg_delay_s, best, rel_tol=1e-12), fleet
 
 
 class TestExhaustiveOptimum:

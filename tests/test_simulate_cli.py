@@ -138,6 +138,16 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="ego"):
             quiet_simulate(s, {1: sine_image()}, CodecConfig(), align_alpha=0.1)
 
+    @pytest.mark.parametrize("alpha", [math.nan, -0.5, 1.0, math.inf])
+    def test_alpha_outside_unit_interval_rejected(self, alpha, monkeypatch):
+        def no_planning(scenario):
+            raise AssertionError("planned before the alpha check")
+
+        monkeypatch.setattr("v2vsim.simulate.optimize", no_planning)
+        with pytest.raises(ValidationError, match="alpha"):
+            quiet_simulate(two_node(1e6), {0: gradient_image(), 1: sine_image()},
+                           CodecConfig(), align_alpha=alpha)
+
     def test_byte_identical_reruns(self, tmp_path):
         img = sine_image()
         s = three_node_symmetric(float(img.size * 8))
@@ -239,6 +249,21 @@ class TestPlanMatrixReportBytes:
         plan = CommPlan(link, values, values * 3.0, values[::-1], -0.0)
         assert plan_matrix_report(plan) == reference_matrix_report(plan)
         assert "-0.000000 0.000000 nan" in plan_matrix_report(plan)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+    def test_empty_matrices(self, shape):
+        plan = CommPlan(np.zeros(shape, dtype=int), np.ones(shape), np.zeros(shape),
+                        np.zeros(shape), math.nan)
+        assert plan_matrix_report(plan) == reference_matrix_report(plan)
+
+    def test_dense_matrix_off_diagonal_base(self):
+        # the first entry is not the most common value; every other one differs
+        rng = np.random.default_rng(9)
+        values = rng.random((5, 7))
+        values[0, 0] = 0.25
+        plan = CommPlan(np.ones((5, 7), dtype=int), values, values * 1e6,
+                        -values, 0.5)
+        assert plan_matrix_report(plan) == reference_matrix_report(plan)
 
 
 @pytest.fixture
@@ -423,6 +448,27 @@ class TestCli:
         for name in ("report.csv", "links.csv", "plan.txt", "plan.csv",
                      "manifest.json"):
             assert (outdir / name).exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--alpha", "nan"), ("--alpha", "-0.5"),
+        ("--rate-tolerance", "nan"), ("--rate-tolerance", "inf")])
+    def test_simulate_rejects_bad_parameter_before_writing(self, scenario_dir,
+                                                           capsys, flag, value):
+        outdir = scenario_dir / "bad"
+        rc = main(["simulate", "--scenario", str(scenario_dir / "scene.scn"),
+                   "--seed", "1", "--outdir", str(outdir), flag, value])
+        assert rc == 2
+        assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("flag", ["--quant-step", "--rate-tolerance"])
+    def test_codec_encode_rejects_nan(self, scenario_dir, capsys, flag):
+        out = scenario_dir / "f.vcq"
+        rc = main(["codec", "encode", "--image", str(scenario_dir / "n1.pgm"),
+                   "--out", str(out), flag, "nan"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_reruns_byte_identical(self, scenario_dir):
         args = ["simulate", "--scenario", str(scenario_dir / "scene.scn"),
