@@ -20,8 +20,7 @@ from .fourier import align
 from .image_io import read_image, write_image
 from .planner import exhaustive_optimum, optimize, validate_plan
 from .scenario_io import parse_scenario_document
-from .simulate import (manifest_for, plan_csv, plan_matrix_report, simulate,
-                       write_outputs)
+from .simulate import manifest_for, simulate, write_outputs, write_plan
 
 
 def _codec_flags(parser: argparse.ArgumentParser, omit=()) -> None:
@@ -50,10 +49,7 @@ def cmd_plan(args) -> int:
     issues = validate_plan(plan, doc.scenario)
     if issues:
         raise ValidationError("; ".join(issues))
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "plan.txt").write_text(plan_matrix_report(plan))
-    (outdir / "plan.csv").write_text(plan_csv(plan, doc.scenario))
+    write_plan(plan, doc.scenario, Path(args.outdir))
     print(f"average delay: {plan.avg_delay_s:.9g} s over {plan.num_links} links")
     return 0
 
@@ -61,10 +57,7 @@ def cmd_plan(args) -> int:
 def cmd_oracle(args) -> int:
     _, doc = _load_scenario(args.scenario)
     plan = exhaustive_optimum(doc.scenario)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "plan.txt").write_text(plan_matrix_report(plan))
-    (outdir / "plan.csv").write_text(plan_csv(plan, doc.scenario))
+    write_plan(plan, doc.scenario, Path(args.outdir))
     print(f"optimal average delay: {plan.avg_delay_s:.9g} s over {plan.num_links} links")
     return 0
 
@@ -75,7 +68,11 @@ def _refined_model(args, cfg: CodecConfig) -> EntropyModel:
         frames = sorted(Path(args.refine_dir).glob("*.p[gp]m"))
         if not frames:
             raise ValidationError(f"no PGM/PPM frames found in {args.refine_dir}")
-        fraction = Fraction(args.refine_fraction)
+        try:
+            fraction = Fraction(args.refine_fraction)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(
+                f"bad refine fraction {args.refine_fraction!r}") from None
         if not (0 < fraction <= 1):
             raise ValidationError("refine fraction must lie in (0, 1]")
         stride = max(1, round(1 / fraction))

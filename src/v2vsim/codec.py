@@ -284,6 +284,12 @@ def serialize_frame(frame: EncodedFrame) -> bytes:
     if len(model_id) > 255:
         raise ValidationError("model_id longer than 255 bytes")
     pad_h, pad_w = q.shape[:2]
+    if frame.block_size > 255:
+        raise ValidationError(
+            f"block size {frame.block_size} exceeds the container's limit of 255")
+    if max(pad_h, pad_w) > 65535:
+        raise ValidationError(
+            f"padded image {pad_h}x{pad_w} exceeds the container's limit of 65535 per side")
     buf = io.BytesIO()
     buf.write(FRAME_MAGIC)
     buf.write(struct.pack("<BBBB", FRAME_VERSION, frame.channels,

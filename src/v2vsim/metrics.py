@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -151,33 +150,3 @@ def iou(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> tuple[np.ndarr
     mean = float(per_class[present].mean()) if present.any() else math.nan
     return per_class, mean
 
-
-REPORT_HEADER = ("avg_delay_s,n_links,total_bits,bitrate_bpp,"
-                 "mean_psnr_db,mean_ms_ssim,mean_mse,mean_iou")
-
-
-@dataclass
-class QualityReport:
-    """Per-run aggregates emitted as one CSV row under REPORT_HEADER."""
-
-    avg_delay_s: float
-    n_links: int
-    total_bits: float
-    bitrate_bpp: float
-    mean_psnr_db: float
-    mean_ms_ssim: float
-    mean_mse: float
-    mean_iou: float = math.nan
-    iou_per_class: list[float] = field(default_factory=list)
-
-    def to_csv_row(self) -> str:
-        cells = [self.avg_delay_s, self.n_links, self.total_bits,
-                 self.bitrate_bpp, self.mean_psnr_db, self.mean_ms_ssim,
-                 self.mean_mse, self.mean_iou]
-        return ",".join(_fmt(v) for v in cells)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".12g")

@@ -4,7 +4,7 @@ Format (version 1): one `key value` pair per line, `#` comments and blank
 lines ignored, unknown keys rejected.  Nodes are declared with
 `node <id> <x> <y>`; the data-volume matrix sits between `volumes` and `end`
 lines, one row per node in declaration order.  Optional `image <id> <path>`
-lines attach a picture to a node.  Every float must be finite.
+lines attach a picture to a node, at most one per node.  Every float must be finite.
 
     version 1
     bandwidth_hz 20e6
@@ -47,19 +47,22 @@ def _finite(token: str) -> float:
     return value
 
 
+# The scalar keys in file order: key -> (owning dataclass, field, token
+# parser).  An absent optional key leaves its field at the dataclass default.
+# The formatter writes ``_finite`` fields with %.12g and the others with str.
 SCALAR_KEYS = {
-    "bandwidth_hz": _finite,
-    "subchannels": int,
-    "tx_power_w": _finite,
-    "noise": _finite,
-    "noise_mode": str,
-    "pathloss_exponent": _finite,
-    "reference_distance_m": _finite,
-    "reference_gain": _finite,
-    "beta": _finite,
-    "distance_scale_m": _finite,
-    "min_ego_links": int,
-    "ego": int,
+    "bandwidth_hz": (ChannelParams, "total_bandwidth_hz", _finite),
+    "subchannels": (ChannelParams, "num_subchannels", int),
+    "tx_power_w": (ChannelParams, "transmit_power_w", _finite),
+    "noise": (ChannelParams, "noise_level", _finite),
+    "noise_mode": (ChannelParams, "noise_mode", str),
+    "pathloss_exponent": (ChannelParams, "pathloss_exponent", _finite),
+    "reference_distance_m": (ChannelParams, "reference_distance_m", _finite),
+    "reference_gain": (ChannelParams, "reference_gain", _finite),
+    "beta": (Scenario, "beta", _finite),
+    "distance_scale_m": (Scenario, "distance_scale_m", _finite),
+    "min_ego_links": (Scenario, "min_ego_links", int),
+    "ego": (Scenario, "ego_id", int),
 }
 
 REQUIRED_KEYS = ("bandwidth_hz", "subchannels", "tx_power_w", "noise",
@@ -149,6 +152,8 @@ def parse_scenario_document(text: str) -> ScenarioDocument:
                 node_id = int(parts[1])
             except ValueError:
                 raise ParseError(line_no, f"bad node id {parts[1]!r}")
+            if node_id in image_paths:
+                raise ParseError(line_no, f"duplicate image for node {node_id}")
             image_paths[node_id] = parts[2]
         elif key in SCALAR_KEYS:
             if len(parts) != 2:
@@ -156,7 +161,7 @@ def parse_scenario_document(text: str) -> ScenarioDocument:
             if key in values:
                 raise ParseError(line_no, f"duplicate key '{key}'")
             try:
-                values[key] = SCALAR_KEYS[key](parts[1])
+                values[key] = SCALAR_KEYS[key][2](parts[1])
             except ValueError:
                 raise ParseError(line_no, f"bad value for '{key}': {parts[1]!r}")
         else:
@@ -177,46 +182,21 @@ def parse_scenario_document(text: str) -> ScenarioDocument:
         if all(n.id != node_id for n in nodes):
             raise ValidationError(f"image declared for unknown node id {node_id}")
 
-    channel = ChannelParams(
-        total_bandwidth_hz=values["bandwidth_hz"],
-        num_subchannels=values["subchannels"],
-        transmit_power_w=values["tx_power_w"],
-        noise_level=values["noise"],
-        noise_mode=values.get("noise_mode", "literal-power"),
-        pathloss_exponent=values.get("pathloss_exponent", 2.0),
-        reference_distance_m=values.get("reference_distance_m", 1.0),
-        reference_gain=values.get("reference_gain", 1.0),
-    )
-    scenario = Scenario(
-        nodes=nodes,
-        ego_id=values["ego"],
-        data_volumes_bits=np.array(volume_rows, dtype=float),
-        channel=channel,
-        beta=values["beta"],
-        distance_scale_m=values.get("distance_scale_m", 100.0),
-        min_ego_links=values["min_ego_links"],
-    )
+    kwargs: dict[type, dict[str, object]] = {ChannelParams: {}, Scenario: {}}
+    for key, value in values.items():
+        owner, name, _ = SCALAR_KEYS[key]
+        kwargs[owner][name] = value
+    scenario = Scenario(nodes=nodes, data_volumes_bits=np.array(volume_rows, dtype=float),
+                        channel=ChannelParams(**kwargs[ChannelParams]), **kwargs[Scenario])
     return ScenarioDocument(scenario=scenario, image_paths=image_paths)
 
 
 def format_scenario(scenario: Scenario, image_paths: dict[int, str] | None = None) -> str:
     """Render a scenario back into the version-1 text format."""
-    ch = scenario.channel
-    lines = [
-        "version 1",
-        f"bandwidth_hz {ch.total_bandwidth_hz:.12g}",
-        f"subchannels {ch.num_subchannels}",
-        f"tx_power_w {ch.transmit_power_w:.12g}",
-        f"noise {ch.noise_level:.12g}",
-        f"noise_mode {ch.noise_mode}",
-        f"pathloss_exponent {ch.pathloss_exponent:.12g}",
-        f"reference_distance_m {ch.reference_distance_m:.12g}",
-        f"reference_gain {ch.reference_gain:.12g}",
-        f"beta {scenario.beta:.12g}",
-        f"distance_scale_m {scenario.distance_scale_m:.12g}",
-        f"min_ego_links {scenario.min_ego_links}",
-        f"ego {scenario.ego_id}",
-    ]
+    lines = ["version 1"]
+    for key, (owner, name, parse) in SCALAR_KEYS.items():
+        value = getattr(scenario.channel if owner is ChannelParams else scenario, name)
+        lines.append(f"{key} {value:{'.12g' if parse is _finite else ''}}")
     for node in scenario.nodes:
         lines.append(f"node {node.id} {node.x:.12g} {node.y:.12g}")
     lines.append("volumes")
@@ -224,5 +204,9 @@ def format_scenario(scenario: Scenario, image_paths: dict[int, str] | None = Non
         lines.append(" ".join(f"{v:.12g}" for v in row))
     lines.append("end")
     for node_id, path in (image_paths or {}).items():
+        if path.split() != [path] or "#" in path:
+            raise ValidationError(
+                f"image path {path!r} for node {node_id} is empty or holds "
+                f"whitespace or '#', which the parser cannot read back")
         lines.append(f"image {node_id} {path}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,19 +23,25 @@ from .channel import Scenario
 from .codec import CodecConfig, EntropyModel, rate_control, decode
 from .errors import ValidationError
 from .fourier import align, check_alpha
-from .metrics import QualityReport, REPORT_HEADER, mse, ms_ssim, psnr, _fmt
+from .metrics import mse, ms_ssim, psnr
 from .planner import CommPlan, optimize
 
 
 @dataclass
-class LinkRecord:
-    """One transmission: plan quantities plus codec and quality outcomes."""
+class PlanLink:
+    """One selected link of a plan: a row of ``plan.csv``."""
 
     src: int
     dst: int
     ratio: float
     rate_bps: float
     delay_s: float
+
+
+@dataclass
+class LinkRecord(PlanLink):
+    """One transmission: the plan's link plus codec and quality outcomes."""
+
     quant_step: float
     bits: float
     bpp: float
@@ -44,7 +50,44 @@ class LinkRecord:
     mse: float
 
 
-LINKS_HEADER = "src,dst,ratio,rate_bps,delay_s,quant_step,bits,bpp,psnr_db,ms_ssim,mse"
+@dataclass
+class QualityReport:
+    """Per-run aggregates: the one row of ``report.csv``.  ``mean_iou`` has
+    no segmentation model behind it, so it is always NaN."""
+
+    avg_delay_s: float
+    n_links: int
+    total_bits: float
+    bitrate_bpp: float
+    mean_psnr_db: float
+    mean_ms_ssim: float
+    mean_mse: float
+    mean_iou: float = math.nan
+
+
+PLAN_CSV_HEADER = ",".join(f.name for f in fields(PlanLink))
+LINKS_HEADER = ",".join(f.name for f in fields(LinkRecord))
+REPORT_HEADER = ",".join(f.name for f in fields(QualityReport))
+
+
+def _fmt(value) -> str:
+    if isinstance(value, int):
+        return str(value)
+    return format(value, ".12g")
+
+
+def csv_text(header: str, records) -> str:
+    """``header``, then one row per dataclass record: ints as ``str``, every
+    other field ``%.12g``, so identical runs give identical bytes."""
+    return "\n".join([header, *(",".join(map(_fmt, astuple(r))) for r in records)]) + "\n"
+
+
+def _plan_links(plan: CommPlan, scenario: Scenario) -> list[PlanLink]:
+    """The plan's selected links, in ``selected_links`` order, by node id."""
+    ids = [node.id for node in scenario.nodes]
+    return [PlanLink(ids[i], ids[j], float(plan.compression[i, j]),
+                     float(plan.rates[i, j]), float(plan.delays[i, j]))
+            for i, j in plan.selected_links()]
 
 
 @dataclass
@@ -111,7 +154,6 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
         plan = CommPlan(plan.link_matrix, compression, plan.rates, delays, avg)
 
     em = EntropyModel.generic()
-    ego = scenario.ego_index
     ego_id = scenario.ego_id
     ego_image = images.get(ego_id)
     if align_alpha > 0 and ego_image is None:
@@ -122,33 +164,27 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
     records: list[LinkRecord] = []
     total_bits = 0.0
     total_pixels = 0
-    for i, j in plan.selected_links():
-        src_id = scenario.nodes[i].id
-        src_img = images.get(src_id)
+    for link in _plan_links(plan, scenario):
+        src_img = images.get(link.src)
         if src_img is None:
-            raise ValidationError(
-                f"link {src_id}->{scenario.nodes[j].id}: source node has no image")
-        ratio = float(plan.compression[i, j])
+            raise ValidationError(f"link {link.src}->{link.dst}: source node has no image")
         try:
-            step, frame = rate_control(src_img, ratio, em, codec_cfg)
+            step, frame = rate_control(src_img, link.ratio, em, codec_cfg)
             recon = decode(frame)
-            if j == ego and align_alpha > 0 and src_id != ego_id:
+            if link.dst == ego_id and align_alpha > 0 and link.src != ego_id:
                 recon = align(recon, ego_image, align_alpha)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # reduced-scale notice per link
                 quality = ms_ssim(src_img, recon)
         except Exception as exc:
             # keep the original type so exit-code mapping still works
-            exc.args = (f"link {src_id}->{scenario.nodes[j].id}: {exc}",)
+            exc.args = (f"link {link.src}->{link.dst}: {exc}",)
             raise
         pixels = src_img.shape[0] * src_img.shape[1]
         records.append(LinkRecord(
-            src=src_id, dst=scenario.nodes[j].id, ratio=ratio,
-            rate_bps=float(plan.rates[i, j]), delay_s=float(plan.delays[i, j]),
-            quant_step=step, bits=frame.bit_count,
-            bpp=frame.bit_count / pixels,
-            psnr_db=psnr(src_img, recon), ms_ssim=quality,
-            mse=mse(src_img, recon)))
+            **asdict(link), quant_step=step, bits=frame.bit_count,
+            bpp=frame.bit_count / pixels, psnr_db=psnr(src_img, recon),
+            ms_ssim=quality, mse=mse(src_img, recon)))
         total_bits += frame.bit_count
         total_pixels += pixels
 
@@ -202,19 +238,15 @@ def plan_matrix_report(plan: CommPlan) -> str:
     return "\n".join(out) + "\n"
 
 
-PLAN_CSV_HEADER = "src,dst,ratio,rate_bps,delay_s"
-
-
 def plan_csv(plan: CommPlan, scenario: Scenario) -> str:
-    rows = [PLAN_CSV_HEADER]
-    for i, j in plan.selected_links():
-        rows.append(",".join([
-            str(scenario.nodes[i].id), str(scenario.nodes[j].id),
-            _fmt(float(plan.compression[i, j])),
-            _fmt(float(plan.rates[i, j])),
-            _fmt(float(plan.delays[i, j])),
-        ]))
-    return "\n".join(rows) + "\n"
+    return csv_text(PLAN_CSV_HEADER, _plan_links(plan, scenario))
+
+
+def write_plan(plan: CommPlan, scenario: Scenario, outdir: Path) -> None:
+    """Write ``plan.txt`` and ``plan.csv`` into ``outdir``, creating it."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "plan.txt").write_bytes(plan_matrix_report(plan).encode())
+    (outdir / "plan.csv").write_bytes(plan_csv(plan, scenario).encode())
 
 
 def write_outputs(result: SimulationResult, scenario: Scenario, outdir,
@@ -226,7 +258,6 @@ def write_outputs(result: SimulationResult, scenario: Scenario, outdir,
     directory yields byte-identical files.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     paths = {
         "plan_txt": "plan.txt",
         "plan_csv": "plan.csv",
@@ -234,17 +265,9 @@ def write_outputs(result: SimulationResult, scenario: Scenario, outdir,
         "report_csv": "report.csv",
         "manifest": "manifest.json",
     }
-    (outdir / "plan.txt").write_bytes(plan_matrix_report(result.plan).encode())
-    (outdir / "plan.csv").write_bytes(plan_csv(result.plan, scenario).encode())
-    links_rows = [LINKS_HEADER]
-    for r in result.links:
-        links_rows.append(",".join([
-            str(r.src), str(r.dst), _fmt(r.ratio), _fmt(r.rate_bps),
-            _fmt(r.delay_s), _fmt(r.quant_step), _fmt(r.bits), _fmt(r.bpp),
-            _fmt(r.psnr_db), _fmt(r.ms_ssim), _fmt(r.mse)]))
-    (outdir / "links.csv").write_bytes(("\n".join(links_rows) + "\n").encode())
-    report_text = REPORT_HEADER + "\n" + result.report.to_csv_row() + "\n"
-    (outdir / "report.csv").write_bytes(report_text.encode())
+    write_plan(result.plan, scenario, outdir)
+    (outdir / "links.csv").write_bytes(csv_text(LINKS_HEADER, result.links).encode())
+    (outdir / "report.csv").write_bytes(csv_text(REPORT_HEADER, [result.report]).encode())
     manifest = replace(manifest, outputs=paths)
     (outdir / "manifest.json").write_bytes(manifest.to_json().encode())
     return paths

@@ -13,7 +13,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from v2vsim.channel import ChannelParams, Scenario, VehicleNode
@@ -118,10 +118,11 @@ def cli_fleet(tmp_path_factory):
 FLAG_VALUE = st.one_of(
     st.none(), st.sampled_from(["0.05", "0.5", "1", "8"]),
     st.sampled_from(["nan", "-nan", "inf", "-inf", "-0", "0", "1e309", "1e-300", "-1",
-                     "3", "16", "x", ""]))
+                     "3", "16", "300", "1/0", "1/3", "x", ""]))
 COMMAND_FLAGS = {
     "simulate": ("--alpha", "--rate-tolerance", "--ratio-override", "--block-size"),
-    "encode": ("--rate-tolerance", "--block-size", "--quant-step", "--gamma"),
+    "encode": ("--rate-tolerance", "--block-size", "--quant-step", "--gamma",
+               "--refine-fraction"),
 }
 
 
@@ -131,7 +132,13 @@ def _reject_constant(name):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(command=st.sampled_from(sorted(COMMAND_FLAGS)),
-       values=st.lists(FLAG_VALUE, min_size=4, max_size=4))
+       values=st.lists(FLAG_VALUE, min_size=5, max_size=5))
+# values the random draws may miss: a block size beyond the container's u8
+# and refine fractions that Fraction cannot parse or divide
+@example(command="encode", values=[None, "300", None, None, None])
+@example(command="encode", values=[None, "300", None, "0.5", None])
+@example(command="encode", values=[None, None, None, None, "1/0"])
+@example(command="encode", values=[None, None, None, None, "x"])
 def test_cli_flag_values(cli_fleet, command, values):
     out = cli_fleet / command
     shutil.rmtree(out, ignore_errors=True)
@@ -145,6 +152,8 @@ def test_cli_flag_values(cli_fleet, command, values):
     for flag, value in zip(COMMAND_FLAGS[command], values):
         if value is not None:
             argv += [flag, value]
+            if flag == "--refine-fraction":  # refine on the fleet's two PGMs
+                argv += ["--refine-dir", str(cli_fleet)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv)
     assert rc in (0, 2, 3, 4), argv

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from v2vsim.errors import ValidationError
-from v2vsim.metrics import (MS_SSIM_WEIGHTS, SSIM_K1, SSIM_K2, QualityReport,
-                            REPORT_HEADER, feasible_scales, iou, ms_ssim, psnr)
+from v2vsim.metrics import (MS_SSIM_WEIGHTS, SSIM_K1, SSIM_K2, feasible_scales, iou,
+                            ms_ssim, psnr)
+from v2vsim.simulate import REPORT_HEADER, QualityReport, csv_text
 
 MS_SSIM_GOLDEN = 0.9651751635890322  # pinned once from the reference path below
 
@@ -220,10 +221,12 @@ class TestQualityReport:
         report = QualityReport(avg_delay_s=0.5, n_links=2, total_bits=1000.0,
                                bitrate_bpp=0.8, mean_psnr_db=40.0,
                                mean_ms_ssim=0.99, mean_mse=1e-4)
-        row = report.to_csv_row()
+        header, row = csv_text(REPORT_HEADER, [report]).splitlines()
+        assert header == REPORT_HEADER
         assert len(row.split(",")) == len(REPORT_HEADER.split(","))
         assert row.split(",")[0] == "0.5"
         assert row.split(",")[1] == "2"
+        assert row.split(",")[-1] == "nan"  # mean_iou is never set
 
     def test_psnr_mse_relation_holds_per_pair(self):
         # the invariant ties the two fields for any single comparison

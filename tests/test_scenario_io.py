@@ -1,9 +1,11 @@
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
 from v2vsim.channel import ChannelParams, Scenario, VehicleNode
-from v2vsim.errors import ParseError
-from v2vsim.scenario_io import (format_scenario, parse_scenario,
+from v2vsim.errors import ParseError, ValidationError
+from v2vsim.scenario_io import (SCALAR_KEYS, format_scenario, parse_scenario,
                                 parse_scenario_document)
 
 MINIMAL = """\
@@ -93,14 +95,32 @@ class TestParse:
         assert doc.image_paths == {11: "frames/a.pgm", 12: "frames/b.pgm"}
 
     def test_round_trip_through_formatter(self):
+        def value(scenario, owner, name):
+            return getattr(scenario.channel if owner is ChannelParams else scenario, name)
+
         doc = parse_scenario_document(FIVE_NODE)
-        text = format_scenario(doc.scenario, doc.image_paths)
-        again = parse_scenario_document(text)
-        assert again.scenario.nodes == doc.scenario.nodes
-        assert np.array_equal(again.scenario.data_volumes_bits,
-                              doc.scenario.data_volumes_bits)
-        assert again.scenario.channel == doc.scenario.channel
+        s = doc.scenario
+        # the key table covers every scalar field, and FIVE_NODE sets each
+        # one away from its dataclass default
+        scalar_fields = {(owner, f.name): f.default for owner in (ChannelParams, Scenario)
+                         for f in fields(owner)
+                         if f.init and f.name not in ("nodes", "data_volumes_bits", "channel")}
+        assert {(owner, name) for owner, name, _ in SCALAR_KEYS.values()} == set(scalar_fields)
+        for (owner, name), default in scalar_fields.items():
+            assert default is MISSING or value(s, owner, name) != default, name
+
+        again = parse_scenario_document(format_scenario(s, doc.image_paths))
+        for owner, name in scalar_fields:
+            assert value(again.scenario, owner, name) == value(s, owner, name), name
+        assert again.scenario.nodes == s.nodes
+        assert np.array_equal(again.scenario.data_volumes_bits, s.data_volumes_bits)
         assert again.image_paths == doc.image_paths
+
+    @pytest.mark.parametrize("path", ["my file.pgm", "frames/a#1.pgm", "", "a\tb.pgm"])
+    def test_formatter_rejects_path_the_parser_cannot_read(self, path):
+        s = parse_scenario(MINIMAL)
+        with pytest.raises(ValidationError, match="image path"):
+            format_scenario(s, {1: path})
 
 
 class TestParseErrors:
@@ -141,6 +161,12 @@ class TestParseErrors:
         bad = MINIMAL.replace("node 1 30.0 40.0", "node 1 30.0 40.0\nnode 1 1.0 1.0")
         with pytest.raises(ParseError, match="duplicate node"):
             parse_scenario(bad)
+
+    def test_duplicate_image(self):
+        bad = MINIMAL + "image 1 a.pgm\nimage 1 b.pgm\n"
+        with pytest.raises(ParseError, match="duplicate image for node 1") as err:
+            parse_scenario_document(bad)
+        assert err.value.line_no == 16
 
     def test_missing_required_key(self):
         with pytest.raises(ParseError, match="missing required key 'beta'"):

@@ -19,11 +19,11 @@ from v2vsim.codec import CodecConfig, EntropyModel, decode, rate_control
 from v2vsim.errors import ValidationError
 from v2vsim.fourier import align
 from v2vsim.image_io import read_image, write_image
-from v2vsim.metrics import REPORT_HEADER, _fmt, mse, psnr
+from v2vsim.metrics import mse, psnr
 from v2vsim.planner import CommPlan, optimize, validate_plan
 from v2vsim.scenario_io import format_scenario
-from v2vsim.simulate import (LINKS_HEADER, manifest_for, plan_matrix_report,
-                             simulate, write_outputs)
+from v2vsim.simulate import (LINKS_HEADER, PLAN_CSV_HEADER, REPORT_HEADER, _fmt,
+                             manifest_for, plan_matrix_report, simulate, write_outputs)
 from v2vsim.synth import gradient_image, sine_image
 
 
@@ -171,8 +171,11 @@ class TestSimulate:
                                 CodecConfig(), align_alpha=0.0)
         manifest = manifest_for(format_scenario(s), 5, CodecConfig(), 0.0)
         write_outputs(result, s, tmp_path, manifest)
-        assert (tmp_path / "report.csv").read_text().splitlines()[0] == REPORT_HEADER
-        assert (tmp_path / "links.csv").read_text().splitlines()[0] == LINKS_HEADER
+        documented = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        for name, header in (("report.csv", REPORT_HEADER), ("links.csv", LINKS_HEADER),
+                             ("plan.csv", PLAN_CSV_HEADER)):
+            assert (tmp_path / name).read_text().splitlines()[0] == header
+            assert f"\n    {header}\n" in documented, name
 
 
 def test_plan_matrix_report_formats_each_element():
@@ -468,6 +471,20 @@ class TestCli:
                    "--out", str(out), flag, "nan"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape, flags", [
+        ((16, 16), ["--block-size", "300"]),  # block size is a u8 in the container
+        ((2, 70000), []),  # padded sides are u16
+        ((16, 16), ["--refine-fraction", "abc"]),
+        ((16, 16), ["--refine-fraction", "1/0"])])
+    def test_codec_encode_bad_input_exits_2(self, tmp_path, capsys, shape, flags):
+        write_image(tmp_path / "in.pgm", np.zeros(shape))
+        out = tmp_path / "f.vcq"
+        rc = main(["codec", "encode", "--image", str(tmp_path / "in.pgm"),
+                   "--out", str(out), "--refine-dir", str(tmp_path), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_simulate_reruns_byte_identical(self, scenario_dir):
