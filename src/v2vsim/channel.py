@@ -137,8 +137,8 @@ class Scenario:
             raise ValidationError("beta must lie in (0, 1]")
         if not (0 < self.distance_scale_m < math.inf):
             raise ValidationError("distance_scale_m must be positive and finite")
-        if self.min_ego_links < 1:
-            raise ValidationError("min_ego_links must be >= 1")
+        if not (self.min_ego_links >= 1 and float(self.min_ego_links).is_integer()):
+            raise ValidationError("min_ego_links must be an integer >= 1")
         self.data_volumes_bits = vol
         self._index = {node_id: k for k, node_id in enumerate(ids)}
 

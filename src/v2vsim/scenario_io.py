@@ -196,6 +196,8 @@ def format_scenario(scenario: Scenario, image_paths: dict[int, str] | None = Non
     lines = ["version 1"]
     for key, (owner, name, parse) in SCALAR_KEYS.items():
         value = getattr(scenario.channel if owner is ChannelParams else scenario, name)
+        if parse is int:
+            value = int(value)  # an integral float such as 2.0 must not be written as "2.0"
         lines.append(f"{key} {value:{'.12g' if parse is _finite else ''}}")
     for node in scenario.nodes:
         lines.append(f"node {node.id} {node.x:.12g} {node.y:.12g}")

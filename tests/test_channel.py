@@ -204,6 +204,13 @@ class TestValidation:
                      ego_id=0, data_volumes_bits=np.array([[1.0, 0.0], [0.0, 0.0]]),
                      channel=basic_params, beta=0.5)
 
+    @pytest.mark.parametrize("value", [0, 1.5, math.nan, math.inf])
+    def test_scenario_rejects_bad_min_ego_links(self, basic_params, value):
+        with pytest.raises(ValidationError, match="min_ego_links"):
+            Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, 1.0, 0.0)],
+                     ego_id=0, data_volumes_bits=np.zeros((2, 2)),
+                     channel=basic_params, beta=0.5, min_ego_links=value)
+
     @pytest.mark.parametrize("beta", [0.0, -0.2, 1.5])
     def test_scenario_rejects_bad_beta(self, basic_params, beta):
         with pytest.raises(ValidationError):

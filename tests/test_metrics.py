@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+import v2vsim
 from v2vsim.errors import ValidationError
-from v2vsim.metrics import (MS_SSIM_WEIGHTS, SSIM_K1, SSIM_K2, feasible_scales, iou,
-                            ms_ssim, psnr)
+from v2vsim.metrics import (MS_SSIM_WEIGHTS, SSIM_K1, SSIM_K2, _downsample, feasible_scales,
+                            iou, ms_ssim, psnr)
 from v2vsim.simulate import REPORT_HEADER, QualityReport, csv_text
 
 MS_SSIM_GOLDEN = 0.9651751635890322  # pinned once from the reference path below
@@ -22,6 +26,11 @@ def golden_pair():
     y = np.clip(x + 0.08 * np.sin(2 * np.pi * 11 * xx) * np.cos(2 * np.pi * 9 * yy)
                 + 0.02, 0, 1)
     return x, y
+
+
+def reference_downsample(img):
+    h, w = img.shape
+    return img[:2 * (h // 2), :2 * (w // 2)].reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
 
 
 def reference_ms_ssim(x, y, scales=5):
@@ -44,10 +53,6 @@ def reference_ms_ssim(x, y, scales=5):
         full = (2 * mu_a * mu_b + c1) / (mu_a ** 2 + mu_b ** 2 + c1) * cs
         return float(full.mean()), float(cs.mean())
 
-    def down(img):
-        h, w = img.shape
-        return img[:2 * (h // 2), :2 * (w // 2)].reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-
     weights = np.asarray(MS_SSIM_WEIGHTS[:scales])
     weights = weights / weights.sum()
     value = 1.0
@@ -55,7 +60,7 @@ def reference_ms_ssim(x, y, scales=5):
         s, cs = ssim_cs(x, y)
         value *= max(s if level == scales - 1 else cs, 0.0) ** weights[level]
         if level != scales - 1:
-            x, y = down(x), down(y)
+            x, y = reference_downsample(x), reference_downsample(y)
     return value
 
 
@@ -130,6 +135,46 @@ class TestMsSsim:
             expected = np.mean([reference_ms_ssim(x[:, :, c], y[:, :, c], scales)
                                 for c in range(shape[2])])
         assert ms_ssim(x, y, scales) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [(176, 176), (181, 197), (23, 64)])
+    def test_downsample_bit_equal_to_reshape_mean(self, shape):
+        img = np.random.default_rng(sum(shape)).random(shape)
+        assert np.array_equal(_downsample(img), reference_downsample(img))
+
+    def test_independent_of_memory_layout(self):
+        x, y = golden_pair()
+        expected = ms_ssim(x, y)
+        wide_x, wide_y = np.repeat(x, 2, axis=1), np.repeat(y, 2, axis=1)
+        layouts = [(np.asfortranarray(x), np.asfortranarray(y)),
+                   (np.ascontiguousarray(x.T).T, np.ascontiguousarray(y.T).T),
+                   (wide_x[:, ::2], wide_y[:, ::2])]
+        for a, b in layouts:
+            assert ms_ssim(a, b) == expected
+
+    def test_channel_views_match_contiguous_copies(self):
+        rng = np.random.default_rng(12)
+        x = rng.random((176, 176, 3))
+        y = np.clip(x + 0.1 * rng.standard_normal(x.shape), 0, 1)
+        for c in range(3):
+            assert (ms_ssim(x[:, :, c], y[:, :, c])
+                    == ms_ssim(np.ascontiguousarray(x[:, :, c]), np.ascontiguousarray(y[:, :, c])))
+
+    def test_independent_of_blas_threads(self):
+        # both window passes run on BLAS, which reads its thread count at load time
+        src = os.path.dirname(os.path.dirname(v2vsim.__file__))
+        code = ("import numpy as np; from v2vsim.metrics import ms_ssim; "
+                "rng = np.random.default_rng(13); x = rng.random((352, 352)); "
+                "y = np.clip(x + 0.1 * rng.standard_normal(x.shape), 0, 1); "
+                "print(repr(ms_ssim(x, y)))")
+        outputs = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True, timeout=120)
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
 
     def test_five_scales_at_176(self):
         assert feasible_scales(176, 176) == 5

@@ -1,4 +1,4 @@
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -115,6 +115,16 @@ class TestParse:
         assert again.scenario.nodes == s.nodes
         assert np.array_equal(again.scenario.data_volumes_bits, s.data_volumes_bits)
         assert again.image_paths == doc.image_paths
+
+    def test_integral_floats_round_trip(self):
+        # int-parsed keys holding integral floats are written as ints
+        s = parse_scenario(MINIMAL)
+        s = replace(s, channel=replace(s.channel, num_subchannels=2.0),
+                    min_ego_links=1.0, ego_id=0.0)
+        text = format_scenario(s)
+        assert "subchannels 2\n" in text and "min_ego_links 1\n" in text and "ego 0\n" in text
+        again = parse_scenario(text)
+        assert (again.channel.num_subchannels, again.min_ego_links, again.ego_id) == (2, 1, 0)
 
     @pytest.mark.parametrize("path", ["my file.pgm", "frames/a#1.pgm", "", "a\tb.pgm"])
     def test_formatter_rejects_path_the_parser_cannot_read(self, path):
