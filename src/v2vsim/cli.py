@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .codec import (CodecConfig, EntropyModel, decode, deserialize_frame,
                     encode, rate_control, refine_model, serialize_frame)
-from .errors import ImageFormatError, InfeasibleError, ValidationError
+from .errors import ImageFormatError, InfeasibleError, ParseError, ValidationError
 from .fourier import align
 from .image_io import read_image, write_image
 from .planner import exhaustive_optimum, optimize, validate_plan
@@ -39,7 +39,12 @@ def _codec_config(args) -> CodecConfig:
 
 
 def _load_scenario(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # the first undecodable byte, kept as a surrogate
+        line_no = len((text[:exc.start] + "?").splitlines())  # as the parser numbers lines
+        raise ParseError(line_no, "not valid UTF-8") from None
     return text, parse_scenario_document(text)
 
 

@@ -30,6 +30,7 @@ lines attach a picture to a node, at most one per node.  Every float must be fin
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -69,6 +70,27 @@ REQUIRED_KEYS = ("bandwidth_hz", "subchannels", "tx_power_w", "noise",
                  "beta", "min_ego_links", "ego")
 
 
+def _volume_matrix(rows: list[tuple[int, str]], n: int) -> np.ndarray:
+    """The ``(line_no, line)`` rows as an n x n matrix: one C pass of ``np.loadtxt``,
+    which reads a subset of ``float()``'s syntax and rounds alike, or else the row
+    loop, which names the first bad row or reads what only ``float()`` takes (``1_000``)."""
+    if len(rows) == n:
+        with contextlib.suppress(ValueError):
+            matrix = np.loadtxt([line for _, line in rows], ndmin=2, comments=None)
+            if matrix.shape == (n, n) and np.isfinite(matrix).all():
+                return matrix
+    parsed = []
+    for line_no, line in rows:
+        try:
+            row = [_finite(token) for token in line.split()]
+        except ValueError:
+            raise ParseError(line_no, f"non-numeric or non-finite volume entry in {line!r}")
+        if len(row) != n:
+            raise ParseError(line_no, f"volume row has {len(row)} entries, need {n}")
+        parsed.append(row)
+    return np.array(parsed, dtype=float)
+
+
 @dataclass
 class ScenarioDocument:
     """A parsed scenario plus the per-node image paths it referenced."""
@@ -86,14 +108,27 @@ def parse_scenario_document(text: str) -> ScenarioDocument:
     nodes: list[VehicleNode] = []
     seen_ids: set[int] = set()
     image_paths: dict[int, str] = {}
-    volume_rows: list[list[float]] = []
+    volume_lines: list[tuple[int, str]] = []
     in_volumes = False
-    volumes_done = False
+    volumes = None
     saw_version = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        if in_volumes:  # rows stay unsplit for _volume_matrix; an 'end' token ends the block
+            if not (line.startswith("end") and line.split()[0] == "end"):
+                volume_lines.append((line_no, line))
+                continue
+            volumes = _volume_matrix(volume_lines, len(nodes))
+            if line != "end":
+                raise ParseError(line_no, "'end' takes no value")
+            if len(volume_lines) != len(nodes):
+                raise ParseError(
+                    line_no, f"volume matrix has {len(volume_lines)} rows, "
+                    f"need {len(nodes)}")
+            in_volumes = False
             continue
         parts = line.split()
         key = parts[0]
@@ -106,31 +141,12 @@ def parse_scenario_document(text: str) -> ScenarioDocument:
             saw_version = True
             continue
 
-        if in_volumes:
-            if key == "end":
-                if len(volume_rows) != len(nodes):
-                    raise ParseError(
-                        line_no, f"volume matrix has {len(volume_rows)} rows, "
-                        f"need {len(nodes)}")
-                in_volumes = False
-                volumes_done = True
-                continue
-            try:
-                row = list(map(float, parts))
-                if not all(map(math.isfinite, row)):
-                    raise ValueError("non-finite volume entry")
-            except ValueError:
-                raise ParseError(line_no, f"non-numeric or non-finite volume entry in {line!r}")
-            if len(row) != len(nodes):
-                raise ParseError(
-                    line_no, f"volume row has {len(row)} entries, need {len(nodes)}")
-            volume_rows.append(row)
-            continue
-
         if key == "volumes":
+            if len(parts) != 1:
+                raise ParseError(line_no, "'volumes' takes no value")
             if not nodes:
                 raise ParseError(line_no, "volumes block must follow the node list")
-            if volumes_done:
+            if volumes is not None:
                 raise ParseError(line_no, "duplicate volumes block")
             in_volumes = True
         elif key == "node":
@@ -170,13 +186,14 @@ def parse_scenario_document(text: str) -> ScenarioDocument:
     if not saw_version:
         raise ParseError(1, "empty scenario: missing 'version' line")
     if in_volumes:
+        _volume_matrix(volume_lines, len(nodes))
         raise ParseError(len(text.splitlines()), "volumes block not closed with 'end'")
     for key in REQUIRED_KEYS:
         if key not in values:
             raise ParseError(len(text.splitlines()) or 1, f"missing required key '{key}'")
     if not nodes:
         raise ParseError(len(text.splitlines()) or 1, "no nodes declared")
-    if not volumes_done:
+    if volumes is None:
         raise ParseError(len(text.splitlines()) or 1, "missing volumes block")
     for node_id in image_paths:
         if all(n.id != node_id for n in nodes):
@@ -186,7 +203,7 @@ def parse_scenario_document(text: str) -> ScenarioDocument:
     for key, value in values.items():
         owner, name, _ = SCALAR_KEYS[key]
         kwargs[owner][name] = value
-    scenario = Scenario(nodes=nodes, data_volumes_bits=np.array(volume_rows, dtype=float),
+    scenario = Scenario(nodes=nodes, data_volumes_bits=volumes,
                         channel=ChannelParams(**kwargs[ChannelParams]), **kwargs[Scenario])
     return ScenarioDocument(scenario=scenario, image_paths=image_paths)
 

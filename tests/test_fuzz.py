@@ -9,6 +9,7 @@ reach the user as a traceback.
 import contextlib
 import io
 import json
+import math
 import shutil
 
 import numpy as np
@@ -20,7 +21,7 @@ from v2vsim.channel import ChannelParams, Scenario, VehicleNode
 from v2vsim.cli import main
 from v2vsim.codec import (CodecConfig, EntropyModel, decode, deserialize_frame,
                           encode, serialize_frame)
-from v2vsim.errors import ImageFormatError, ValidationError
+from v2vsim.errors import ImageFormatError, ParseError, ValidationError
 from v2vsim.image_io import read_image, write_image
 from v2vsim.scenario_io import format_scenario, parse_scenario_document
 from v2vsim.synth import gradient_image, random_scenario, sine_image
@@ -79,6 +80,78 @@ def test_scenario_line_replaced(index, line):
     except ValidationError:
         return
     assert doc.scenario.data_volumes_bits.shape == (len(doc.scenario.nodes),) * 2
+
+
+VOLUME_HEAD = ["version 1", "bandwidth_hz 20e6", "subchannels 1", "tx_power_w 0.2",
+               "noise 1e-9", "beta 0.9", "min_ego_links 1", "ego 0"]
+RENDERS = [lambda v: f"{v:.12g}", lambda v: f"{v:.17g}", repr, lambda v: f"{v:e}",
+           lambda v: f"{v:.3E}", lambda v: str(int(v)), lambda v: f"+{v!r}"]
+# what float() rejects, what is not finite, and what only float() reads
+ODD_TOKENS = ["x", "nan", "-inf", "inf", "1e400", "0x10", "1e", "--1", "1d5", ".", "1,5",
+              "1\u200b2", "1_000", "\u0661\u0662", "\uff11"]
+
+
+@st.composite
+def volume_blocks(draw):
+    """A scenario text whose volume block is well formed or holds a few defects."""
+    n = draw(st.integers(1, 5))
+    lines = VOLUME_HEAD + [f"node {i} {10 * i} 0" for i in range(n)] + ["volumes"]
+    sep = st.sampled_from([" ", "\t", "\xa0", " \t "])
+    for i in range(n + draw(st.sampled_from([0] * 12 + [-1, 1]))):
+        tokens = []
+        for j in range(n + draw(st.sampled_from([0] * 30 + [-1, 1]))):
+            if j == i:
+                tokens.append(draw(st.sampled_from(["0", "0.0", "-0", "0e5"])))
+            elif draw(st.integers(0, 39)):
+                value = draw(st.one_of(st.floats(0, 1e9), st.floats(0, 1e300)))
+                tokens.append(draw(st.sampled_from(RENDERS))(value))
+            else:
+                tokens.append(draw(st.sampled_from(ODD_TOKENS)))
+        line = "".join(t + draw(sep) for t in tokens).rstrip(" \t\xa0")
+        lines.append(line + draw(st.sampled_from(["", "  ", " # bits"])))
+        if not draw(st.integers(0, 9)):
+            lines.append(draw(st.sampled_from(["", "# comment", "  "])))
+    if draw(st.integers(0, 9)):
+        lines.append(draw(st.sampled_from(["end", "end # done"])))
+    return n, "\n".join(lines) + "\n"
+
+
+def reference_volumes(n, text):
+    """The volume block read row by row with float(), or the ParseError text."""
+    lines = text.splitlines()
+    rows, start = [], lines.index("volumes") + 2
+    for line_no, raw in enumerate(lines[start - 1:], start=start):
+        line = raw.split("#", 1)[0].strip()
+        if line == "end":
+            if len(rows) != n:
+                return f"line {line_no}: volume matrix has {len(rows)} rows, need {n}"
+            return np.array(rows)
+        if not line:
+            continue
+        try:
+            row = [float(token) for token in line.split()]
+        except ValueError:
+            row = [math.nan]  # a token float() rejects gets the non-finite message
+        if not all(map(math.isfinite, row)):
+            return f"line {line_no}: non-numeric or non-finite volume entry in {line!r}"
+        if len(row) != n:
+            return f"line {line_no}: volume row has {len(row)} entries, need {n}"
+        rows.append(row)
+    return f"line {len(lines)}: volumes block not closed with 'end'"
+
+
+@FUZZ
+@given(block=volume_blocks())
+def test_volume_block_matches_row_by_row_float(block):
+    n, text = block
+    expected = reference_volumes(n, text)
+    try:
+        got = parse_scenario_document(text).scenario.data_volumes_bits
+    except ParseError as exc:
+        assert str(exc) == expected
+        return
+    assert not isinstance(expected, str), expected
+    assert got.tobytes() == expected.tobytes()
 
 
 PGM_HEADER = b"P5\n16 16\n255\n"

@@ -186,13 +186,42 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="non-numeric"):
             parse_scenario(MINIMAL.replace("8e6 0", "lots 0"))
 
-    @pytest.mark.parametrize("row", ["lots 0", "8e6 nan", "inf 0", "8e6 -inf", "0x10 0"])
+    @pytest.mark.parametrize("row", ["lots 0", "8e6 nan", "inf 0", "8e6 -inf", "0x10 0",
+                                     "1e400 0", "8e6 -1e400"])
     def test_bad_volume_token_names_line_and_row(self, row):
         with pytest.raises(ParseError) as err:
             parse_scenario(MINIMAL.replace("8e6 0", row))
         assert err.value.line_no == 13
         assert str(err.value) == (
             f"line 13: non-numeric or non-finite volume entry in {row!r}")
+
+    # MINIMAL holds 'volumes' on line 11, rows on lines 12-13 and 'end' on line 14
+    @pytest.mark.parametrize("old,new,message", [
+        ("8e6 0\n", "8e6 0 1\n", "line 13: volume row has 3 entries, need 2"),
+        ("8e6 0\n", "8e6\n", "line 13: volume row has 1 entries, need 2"),
+        ("8e6 0\n", "8e6 0\n0 0\n", "line 15: volume matrix has 3 rows, need 2"),
+        ("0 0\n8e6 0\n", "0 0\n", "line 13: volume matrix has 1 rows, need 2"),
+        ("8e6 0\nend\n", "lots 0\n", "line 13: non-numeric or non-finite volume entry in 'lots 0'"),
+        ("8e6 0\nend\n", "8e6 0\n", "line 13: volumes block not closed with 'end'"),
+        ("8e6 0\n", "# sender 1\n8e6 lots # bits\n",
+         "line 14: non-numeric or non-finite volume entry in '8e6 lots'"),
+        ("end\n", "endless\n", "line 14: non-numeric or non-finite volume entry in 'endless'"),
+        ("volumes\n", "volumes 7\n", "line 11: 'volumes' takes no value"),
+        ("end\n", "end junk\n", "line 14: 'end' takes no value"),
+        ("end\n", "end\tjunk # x\n", "line 14: 'end' takes no value"),
+        ("0 0\n8e6 0\nend\n", "0 lots\nend 1\n",
+         "line 12: non-numeric or non-finite volume entry in '0 lots'"),
+    ])
+    def test_volume_block_error_names_line(self, old, new, message):
+        with pytest.raises(ParseError) as err:
+            parse_scenario(MINIMAL.replace(old, new))
+        assert str(err.value) == message
+
+    # the row follows a comment line, ends in a comment and is split by a no-break space
+    @pytest.mark.parametrize("token", ["8e6", "8_000_000", "\u0668e6", "\uff18e6", "+8E+06"])
+    def test_volume_entry_takes_float_syntax(self, token):
+        s = parse_scenario(MINIMAL.replace("8e6 0", f"# sender 1\n{token}\xa00 # bits\t"))
+        assert s.data_volumes_bits.tobytes() == np.array([[0.0, 0.0], [8e6, 0.0]]).tobytes()
 
     def test_ego_must_exist(self):
         with pytest.raises(Exception, match="ego"):

@@ -343,6 +343,19 @@ class TestCli:
         assert rc == 2
         assert f"line {edited.index(line) + 1}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_invalid_utf8_exits_2_naming_its_line(self, tmp_path, capsys, command, newline):
+        lines = format_scenario(two_node(8e6)).encode().splitlines()
+        lines[2:2] = [b"# caf\xe9", b"# \xff"]
+        path = tmp_path / "scene.scn"
+        path.write_bytes(newline.join(lines) + newline)
+        rc = main([command, "--scenario", str(path), "--seed", "1",
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: line 3: not valid UTF-8\n"
+        assert not (tmp_path / "o").exists()
+
     def test_infeasible_exits_3(self, tmp_path):
         params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=1,
                                transmit_power_w=0.2, noise_level=1e-9)
