@@ -39,7 +39,8 @@ def _codec_config(args) -> CodecConfig:
 
 
 def _load_scenario(path: str):
-    text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+    # utf-8-sig drops the byte-order mark some editors put first
+    text = Path(path).read_text(encoding="utf-8-sig", errors="surrogateescape")
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:  # the first undecodable byte, kept as a surrogate

@@ -15,8 +15,9 @@ model, not an arithmetic-coded bitstream.  Two model flavors exist:
 The planner's compression ratio maps to a bit budget via ``rate_control``:
 ``target = ratio * 8 bits per pixel per channel``, met by a binary search
 over the quantization-step grid.  The transform does not depend on the step,
-so ``rate_control`` transforms the image once and only requantizes and
-prices it at each step it tries.
+so ``rate_control`` transforms the image once and sorts its coefficients once;
+each step it tries is priced from the symbol counts of that sorted copy, and
+only the step it returns is quantized and priced in full.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ SMOOTHING = 1.0
 # block sizes up to 8 (2000 at 8).  A symbol beyond the radius is priced as
 # the edge symbol.
 QUANT_STEP_GRID = np.geomspace(0.004, 16.0, num=60)
+
+# rate_control prices a step exactly when its counted estimate lies within
+# this fraction of the budget: the estimate's dot product and encode's
+# pairwise sum round the same bits differently, each by well under 1e-12 of
+# the total, so outside the band both fall on the same side of the budget.
+GUARD_BAND = 1e-9
 
 FRAME_MAGIC = b"VCQ1"
 FRAME_VERSION = 1
@@ -212,16 +219,50 @@ def decode(frame: EncodedFrame) -> np.ndarray:
     return np.clip(rec[:frame.height, :frame.width], 0.0, 1.0)
 
 
+def _symbol_counts(ordered: np.ndarray, step: float, radius: int) -> np.ndarray:
+    """How often each symbol ``clip(rint(c / step), -radius, radius)`` occurs
+    among the ascending values ``ordered``; entry ``radius + s`` counts s.
+
+    The symbol is non-decreasing in c, so symbol v starts at the first value
+    at or above ``(v - 1/2) * step``; only the symbols between those of the
+    smallest and the largest value need a search.  The division and the
+    threshold each round, so values within a relative 2**-40 of a threshold
+    (a few, unless they repeat) are quantized as encode does and placed by
+    their own symbol; ties at half-integers thus round as ``rint`` does.
+    """
+    def symbol(x):
+        return np.clip(np.rint(x / step), -radius, radius)
+
+    low, high = (int(s) for s in symbol(ordered[[0, -1]]))
+    v = np.arange(low + 1, high + 1)
+    t = (v - 0.5) * step
+    band = np.abs(t) * 2.0 ** -40
+    lo = np.searchsorted(ordered, t - band)  # values below: symbol < v
+    hi = np.searchsorted(ordered, t + band)  # values from here: symbol >= v
+    width = hi - lo
+    skipped = np.cumsum(width) - width  # near values of the lower thresholds
+    near = ordered[np.arange(width.sum()) + np.repeat(lo - skipped, width)]
+    first = lo + np.searchsorted(symbol(near), v) - skipped
+    counts = np.zeros(2 * radius + 1, dtype=np.int64)
+    counts[low + radius:high + radius + 1] = np.diff(first, prepend=0,
+                                                     append=ordered.size)
+    return counts
+
+
 def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
                  cfg: CodecConfig) -> tuple[float, EncodedFrame]:
     """Pick a grid step whose bit estimate fits the ratio's budget.
 
     The budget is ``ratio * pixels * channels * 8`` bits with
-    ``rate_tolerance`` relative slack.  The image is transformed once; a
-    binary search over the grid then requantizes and prices it per step.  The
-    returned step fits the budget and the next finer grid step (if any) does
-    not, so it is the finest feasible step whenever bit counts are
-    non-increasing in the step.  The frame equals ``encode`` at that step.
+    ``rate_tolerance`` relative slack.  The image is transformed and its
+    coefficients sorted once; a binary search over the grid then prices each
+    step it tries from the symbol counts of the sorted copy, falling back to
+    encode's exact pricing only within ``GUARD_BAND`` of the budget, so each
+    step fits exactly when encode's bit count would fit.  The returned step
+    fits the budget and the next finer grid step (if any) does not, so it is
+    the finest feasible step whenever bit counts are non-increasing in the
+    step.  Only that step is quantized and priced in full, and its frame
+    equals ``encode`` at that step.
     """
     if not (0 < ratio <= 1):
         raise ValidationError("ratio must lie in (0, 1]")
@@ -229,27 +270,34 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
     allowed = (1.0 + cfg.rate_tolerance) * ratio * (arr.size * 8)
 
     grid = QUANT_STEP_GRID
+    ordered = np.sort(coeffs, axis=None)
 
-    def attempt(idx: int) -> EncodedFrame:
+    @functools.cache
+    def exact(idx: int) -> EncodedFrame:
         return _quantize_and_price(arr, coeffs, float(grid[idx]), cfg.block_size, em)
 
-    best = attempt(len(grid) - 1)
-    if best.bit_count > allowed:
+    def fits(idx: int) -> bool:
+        counts = _symbol_counts(ordered, float(grid[idx]), em.radius)
+        estimate = -float(counts @ em._log2_prob)
+        if abs(estimate - allowed) <= GUARD_BAND * allowed:
+            return exact(idx).bit_count <= allowed
+        return estimate <= allowed
+
+    if not fits(len(grid) - 1):
         raise BudgetError(
             f"budget {allowed:.1f} bits unreachable: coarsest step "
-            f"{grid[-1]:.4g} still needs {best.bit_count:.1f} bits")
+            f"{grid[-1]:.4g} still needs {exact(len(grid) - 1).bit_count:.1f} bits")
 
     # each mid lies in [lo, hi) and leaves that range once tried, so no step
-    # is priced twice; only the frame at hi is kept
-    lo, hi = 0, len(grid) - 1  # hi is feasible; lo - 1, if tried, is not
+    # is counted twice
+    lo, hi = 0, len(grid) - 1  # hi fits; lo - 1, if tried, does not
     while lo < hi:
         mid = (lo + hi) // 2
-        frame = attempt(mid)
-        if frame.bit_count <= allowed:
-            hi, best = mid, frame
+        if fits(mid):
+            hi = mid
         else:
             lo = mid + 1
-    return float(grid[hi]), best
+    return float(grid[hi]), exact(hi)
 
 
 def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],

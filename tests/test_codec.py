@@ -256,6 +256,124 @@ class TestRateControl:
         assert interior >= 20
 
 
+def reference_rate_control(img, ratio, em, cfg):
+    """The same binary search, with every step it tries quantized and priced
+    in full by encode's path."""
+    arr, coeffs = codec._transform(img, cfg.block_size)
+    allowed = (1.0 + cfg.rate_tolerance) * ratio * (arr.size * 8)
+    grid = QUANT_STEP_GRID
+
+    def attempt(idx):
+        return codec._quantize_and_price(arr, coeffs, float(grid[idx]),
+                                         cfg.block_size, em)
+
+    best = attempt(len(grid) - 1)
+    if best.bit_count > allowed:
+        raise BudgetError(
+            f"budget {allowed:.1f} bits unreachable: coarsest step "
+            f"{grid[-1]:.4g} still needs {best.bit_count:.1f} bits")
+    lo, hi = 0, len(grid) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        frame = attempt(mid)
+        if frame.bit_count <= allowed:
+            hi, best = mid, frame
+        else:
+            lo = mid + 1
+    return float(grid[hi]), best
+
+
+def assert_same_rate_control(img, ratio, em, cfg):
+    try:
+        expected = reference_rate_control(img, ratio, em, cfg)
+    except BudgetError as exc:
+        with pytest.raises(BudgetError) as got:
+            rate_control(img, ratio, em, cfg)
+        assert str(got.value) == str(exc)
+        return None
+    step, frame = rate_control(img, ratio, em, cfg)
+    assert type(step) is float and step == expected[0]
+    assert_same_frame(frame, expected[1])
+    return step
+
+
+class TestCountedRateControl:
+    """rate_control prices the steps it tries from symbol counts; it must
+    return what exact pricing at every step returns."""
+
+    FIRST_MID = (len(QUANT_STEP_GRID) - 1) // 2  # tried right after the coarsest
+
+    @pytest.mark.parametrize("block", [8, 16])
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_equals_reference(self, generic, block, trained):
+        cfg = CodecConfig(block_size=block)
+        frames = shifting_sequence()
+        em = refine_model(generic, frames[:5], cfg) if trained else generic
+        outcomes = set()
+        for img in codec_fixture_images() + [rgb_fixture()] + frames[::3]:
+            for ratio in np.linspace(0.05, 1.0, 20):
+                outcomes.add(assert_same_rate_control(img, float(ratio), em, cfg))
+        assert None in outcomes and len(outcomes) > 10  # budget errors and many steps
+
+    def test_exact_pricing_once_per_call(self, generic, monkeypatch):
+        real = EntropyModel.bits_for_symbols
+        calls = []
+
+        def counting(self, symbols):
+            calls.append(symbols.shape)
+            return real(self, symbols)
+
+        for img in codec_fixture_images() + [rgb_fixture()]:
+            for ratio in (0.1, 0.3, 0.6, 1.0):
+                expected = reference_rate_control(img, ratio, generic, CodecConfig())
+                calls.clear()
+                monkeypatch.setattr(EntropyModel, "bits_for_symbols", counting)
+                step, frame = rate_control(img, ratio, generic, CodecConfig())
+                monkeypatch.undo()
+                assert len(calls) == 1
+                assert step == expected[0]
+                assert_same_frame(frame, expected[1])
+
+    @pytest.mark.parametrize("offset", [0.0, -1e-11, 1e-11])
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_budget_on_a_steps_exact_bits_is_priced_exactly(self, generic,
+                                                            monkeypatch, trained,
+                                                            offset):
+        cfg = CodecConfig(rate_tolerance=0.0)
+        img = rgb_fixture()
+        em = refine_model(generic, shifting_sequence()[:5], cfg) if trained else generic
+        step = float(QUANT_STEP_GRID[self.FIRST_MID])
+        bits = encode(img, dataclasses.replace(cfg, quant_step=step), em).bit_count
+        budget = bits * (1.0 + offset)  # on those bits, or a few hundred ulps off
+        ratio = budget / (8 * img.size)
+        for _ in range(4):  # land the budget exactly there
+            if ratio * (img.size * 8) == budget:
+                break
+            ratio = float(np.nextafter(ratio, 1.0 if ratio * (img.size * 8) < budget else 0.0))
+        assert ratio * (img.size * 8) == budget
+        expected = reference_rate_control(img, ratio, em, cfg)
+
+        events = []
+        real_counts, real_price = codec._symbol_counts, codec._quantize_and_price
+
+        def counts(ordered, step, radius):
+            events.append(("count", step))
+            return real_counts(ordered, step, radius)
+
+        def price(arr, coeffs, step, block, em):
+            events.append(("price", step))
+            return real_price(arr, coeffs, step, block, em)
+
+        monkeypatch.setattr(codec, "_symbol_counts", counts)
+        monkeypatch.setattr(codec, "_quantize_and_price", price)
+        got_step, frame = rate_control(img, ratio, em, cfg)
+        monkeypatch.undo()
+        assert events[:3] == [("count", float(QUANT_STEP_GRID[-1])),
+                              ("count", step), ("price", step)]
+        assert got_step == expected[0]
+        assert_same_frame(frame, expected[1])
+
+
 class TestEntropyModel:
     def test_probabilities_normalized(self, generic):
         p = generic.probabilities()

@@ -1,4 +1,5 @@
-"""Fuzz tests of the three readers of outside input and of the CLI's flags.
+"""Fuzz tests of the three readers of outside input, of the CLI's flags, and
+of the symbol counts that rate control prices its steps from.
 
 Every input ends in a result or in the reader's documented typed error:
 ``ValidationError`` for frame containers and scenario files (exit 2 in the
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 
 from v2vsim.channel import ChannelParams, Scenario, VehicleNode
 from v2vsim.cli import main
-from v2vsim.codec import (CodecConfig, EntropyModel, decode, deserialize_frame,
-                          encode, serialize_frame)
+from v2vsim.codec import (QUANT_STEP_GRID, CodecConfig, EntropyModel,
+                          _symbol_counts, decode, deserialize_frame, encode,
+                          serialize_frame)
 from v2vsim.errors import ImageFormatError, ParseError, ValidationError
 from v2vsim.image_io import read_image, write_image
 from v2vsim.scenario_io import format_scenario, parse_scenario_document
@@ -55,6 +57,45 @@ def test_frame_container_mutations(edits, keep):
     except ValidationError:
         return
     assert np.all((img >= 0) & (img <= 1))
+
+
+# power-of-two steps keep (k + 1/2) * step an exact tie after the division
+COUNT_STEPS = st.one_of(st.sampled_from([2.0 ** e for e in range(-8, 4)]),
+                        st.sampled_from(QUANT_STEP_GRID.tolist()),
+                        st.floats(1e-3, 20.0))
+
+
+@st.composite
+def sorted_coefficients(draw):
+    """A step, an alphabet radius and ascending values, many of them on or one
+    ulp beside a rounding threshold, in runs of duplicates."""
+    step = draw(COUNT_STEPS)
+    radius = draw(st.integers(1, 40))
+    tie = st.integers(-radius - 3, radius + 2).map(lambda k: (k + 0.5) * step)
+    beside_tie = st.tuples(tie, st.sampled_from([-math.inf, math.inf])).map(
+        lambda pair: math.nextafter(*pair))
+    span = (radius + 3) * step
+    value = st.one_of(tie, beside_tie, st.sampled_from([0.0, -0.0]),
+                      st.floats(-span, span), st.floats(-1e12, 1e12))
+    runs = draw(st.lists(st.tuples(value, st.integers(1, 6)), min_size=1, max_size=30))
+    values = [v for v, repeat in runs for _ in range(repeat)]
+    if not draw(st.integers(0, 9)):
+        values = [values[0]] * len(values)
+    return step, radius, np.sort(np.array(values))
+
+
+@FUZZ
+@given(case=sorted_coefficients())
+@example(case=(0.25, 2, np.array([-0.0])))
+@example(case=(0.5, 3, np.full(7, 0.25)))  # all on the tie that rounds to 0
+@example(case=(0.5, 3, np.full(7, 0.75)))  # all on the tie that rounds to 2
+@example(case=(1.0, 1, np.array([-1e12, 1e12])))
+def test_symbol_counts_equal_bincount(case):
+    step, radius, ordered = case
+    symbols = np.clip(np.round(ordered / step), -radius, radius).astype(np.int64)
+    expected = np.bincount(symbols + radius, minlength=2 * radius + 1)
+    got = _symbol_counts(ordered, step, radius)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 SCENARIO_LINES = format_scenario(random_scenario(3), {0: "a.pgm"}).splitlines()

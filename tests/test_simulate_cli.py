@@ -356,6 +356,20 @@ class TestCli:
         assert capsys.readouterr().err == "error: line 3: not valid UTF-8\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_byte_order_mark_changes_no_output(self, scenario_dir, command):
+        scene = scenario_dir / "scene.scn"
+        args = [command, "--scenario", str(scene), "--seed", "1"]
+        assert main(args + ["--outdir", str(scenario_dir / "plain")]) == 0
+        scene.write_bytes(b"\xef\xbb\xbf" + scene.read_bytes())
+        assert main(args + ["--outdir", str(scenario_dir / "bom")]) == 0
+        names = sorted(p.name for p in (scenario_dir / "plain").iterdir())
+        assert names == sorted(p.name for p in (scenario_dir / "bom").iterdir())
+        assert "plan.txt" in names and (command == "plan") != ("manifest.json" in names)
+        for name in names:
+            assert ((scenario_dir / "plain" / name).read_bytes()
+                    == (scenario_dir / "bom" / name).read_bytes()), name
+
     def test_infeasible_exits_3(self, tmp_path):
         params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=1,
                                transmit_power_w=0.2, noise_level=1e-9)
