@@ -344,7 +344,7 @@ class TestCountedRateControl:
         em = refine_model(generic, shifting_sequence()[:5], cfg) if trained else generic
         step = float(QUANT_STEP_GRID[self.FIRST_MID])
         bits = encode(img, dataclasses.replace(cfg, quant_step=step), em).bit_count
-        budget = bits * (1.0 + offset)  # on those bits, or a few hundred ulps off
+        budget = bits * (1.0 + offset)  # on those bits, or just off, inside the guard band
         ratio = budget / (8 * img.size)
         for _ in range(4):  # land the budget exactly there
             if ratio * (img.size * 8) == budget:
