@@ -3,17 +3,19 @@
 
 For each seed the planner and the exhaustive oracle plan the same scenario;
 the script reports how many planner averages equal the oracle's exactly,
-constraint violations, and wall time.
+constraint violations, and wall time.  It exits 1 when any average differs
+from the oracle's or any plan violates a constraint.
 """
 
 import argparse
+import sys
 import time
 
 from v2vsim.planner import exhaustive_optimum, optimize, validate_plan
 from v2vsim.synth import random_scenario
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=100)
     parser.add_argument("--first-seed", type=int, default=0)
@@ -36,7 +38,8 @@ def main() -> None:
     print(f"equal to oracle    : {exact} ({exact / args.instances:.1%})")
     print(f"constraint faults  : {violations}")
     print(f"wall time          : {elapsed:.2f} s")
+    return 0 if exact == args.instances and violations == 0 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -43,7 +43,11 @@ def mse(x: np.ndarray, y: np.ndarray) -> float:
 
 def psnr(x: np.ndarray, y: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB; inf when the images are identical."""
-    err = mse(x, y)
+    return psnr_of_mse(mse(x, y))
+
+
+def psnr_of_mse(err: float) -> float:
+    """PSNR in dB of a mean squared error at peak 1.0; inf for 0."""
     if err == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / err)

@@ -43,7 +43,6 @@ the smallest k.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -234,7 +233,20 @@ def exhaustive_optimum(scenario: Scenario) -> CommPlan:
     """Enumerate every feasible link selection and return the global optimum.
 
     Verification oracle for :func:`optimize`; refuses instances with more
-    than 20 candidate links.
+    than 20 candidate links (SizeError).  It scores every set of up to
+    ``min(budget, K)`` of the K candidates that holds at least ``need``
+    ego-inbound links, one size at a time in NumPy.  The sets of size s
+    extend each set of size s - 1 by every candidate above its last one,
+    starting from the empty set, which keeps each size in
+    ``itertools.combinations`` order.  A set's delay sum is its parent's sum
+    plus the new delay, so it adds left to right from 0 as ``sum()`` over the
+    set would, and every average ``sum / size`` is exact to the bit.  A set
+    keeps only its parent's row and its last candidate; the winner is rebuilt
+    from them.
+
+    Ties: the plan is the first set reaching the least average, by size
+    first, then lexicographically in candidate (row-major) order; a NaN or
+    infinite average never wins.
     """
     if len(scenario.nodes) < 2:
         raise InfeasibleError("planning needs at least two nodes")
@@ -245,23 +257,40 @@ def exhaustive_optimum(scenario: Scenario) -> CommPlan:
             f"{len(candidates)} candidate links exceed the enumeration cap of 20")
     budget = scenario.channel.num_subchannels
     need = scenario.min_ego_links
-    ego = scenario.ego_index
+    k = len(candidates)
 
-    delays = candidates.delay_s.tolist()
-    inbound = (candidates.dst == ego).tolist()
-    best_sel: tuple[int, ...] | None = None
-    best_avg = math.inf
-    max_size = min(budget, len(candidates))
-    for size in range(max(1, need), max_size + 1):
-        for combo in itertools.combinations(range(len(candidates)), size):
-            if sum(inbound[k] for k in combo) < need:
-                continue
-            avg = sum(delays[k] for k in combo) / size
-            if avg < best_avg:
-                best_sel, best_avg = combo, avg
-    if best_sel is None:
+    delay = candidates.delay_s
+    inbound = (candidates.dst == scenario.ego_index).astype(np.int8)
+    # the sets of the current size, starting from the empty set; parents[s - 1]
+    # and lasts[s - 1] hold each set of size s as (row of size s - 1, last index)
+    last = np.array([-1], dtype=np.int8)
+    sums, counts = np.zeros(1), np.zeros(1, dtype=np.int8)
+    parents, lasts = [], []
+    best_avg, best = math.inf, None
+    for size in range(1, min(budget, k) + 1):
+        children = (k - 1) - last.astype(np.intp)
+        parent = np.repeat(np.arange(len(last), dtype=np.int32), children)
+        # row r's children take the positions up to cumsum(children)[r] and
+        # end with candidate k - 1
+        last = (np.arange(len(parent))
+                - np.repeat(np.cumsum(children) - k, children)).astype(np.int8)
+        sums = sums[parent] + delay[last]
+        counts = counts[parent] + inbound[last]
+        parents.append(parent)
+        lasts.append(last)
+        avg = sums / size
+        better = (counts >= need) & (avg < best_avg)
+        if better.any():
+            row = int(np.argmin(np.where(better, avg, math.inf)))
+            best_avg, best = float(avg[row]), (size, row)
+    if best is None:
         raise InfeasibleError("no feasible link selection exists")
-    return _plan_from_selection(scenario, candidates, list(best_sel))
+    size, row = best
+    selection = []
+    for level in range(size - 1, -1, -1):
+        selection.append(int(lasts[level][row]))
+        row = int(parents[level][row])
+    return _plan_from_selection(scenario, candidates, selection[::-1])
 
 
 def validate_plan(plan: CommPlan, scenario: Scenario,

@@ -23,7 +23,7 @@ from .channel import Scenario
 from .codec import CodecConfig, EntropyModel, rate_control, decode
 from .errors import ValidationError
 from .fourier import align, check_alpha
-from .metrics import mse, ms_ssim, psnr
+from .metrics import mse, ms_ssim, psnr_of_mse
 from .planner import CommPlan, optimize
 
 
@@ -181,10 +181,11 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
             exc.args = (f"link {link.src}->{link.dst}: {exc}",)
             raise
         pixels = src_img.shape[0] * src_img.shape[1]
+        err = mse(src_img, recon)
         records.append(LinkRecord(
             **asdict(link), quant_step=step, bits=frame.bit_count,
-            bpp=frame.bit_count / pixels, psnr_db=psnr(src_img, recon),
-            ms_ssim=quality, mse=mse(src_img, recon)))
+            bpp=frame.bit_count / pixels, psnr_db=psnr_of_mse(err),
+            ms_ssim=quality, mse=err))
         total_bits += frame.bit_count
         total_pixels += pixels
 

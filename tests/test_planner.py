@@ -1,4 +1,8 @@
+import dataclasses
+import itertools
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+import v2vsim.planner
 from v2vsim.channel import ChannelParams, Scenario, VehicleNode, capacity_matrix
 from v2vsim.errors import InfeasibleError, SizeError, ValidationError
-from v2vsim.planner import (CommPlan, _candidates, _plan_from_selection,
-                            average_delay, compression_lower_bound,
+from v2vsim.planner import (CommPlan, _candidates, _check_feasible,
+                            _plan_from_selection, average_delay,
+                            compression_lower_bound,
                             exhaustive_optimum, optimize, transmission_delay,
                             validate_plan)
 from v2vsim.synth import random_scenario
@@ -303,6 +309,62 @@ def test_scan_equals_dinkelbach_milp_beyond_the_oracle():
         assert math.isclose(optimize(s).avg_delay_s, best, rel_tol=1e-12), fleet
 
 
+def reference_exhaustive_optimum(scenario: Scenario) -> CommPlan:
+    """The oracle as one itertools scan: every set of max(1, need) ..
+    min(budget, K) candidates in combinations order, sums by ``sum()``, and
+    the first strictly lower average wins."""
+    if len(scenario.nodes) < 2:
+        raise InfeasibleError("planning needs at least two nodes")
+    candidates = _candidates(scenario)
+    _check_feasible(scenario, candidates)
+    if len(candidates) > 20:
+        raise SizeError(
+            f"{len(candidates)} candidate links exceed the enumeration cap of 20")
+    budget = scenario.channel.num_subchannels
+    need = scenario.min_ego_links
+    delays = candidates.delay_s.tolist()
+    inbound = (candidates.dst == scenario.ego_index).tolist()
+    best_sel, best_avg = None, math.inf
+    for size in range(max(1, need), min(budget, len(candidates)) + 1):
+        for combo in itertools.combinations(range(len(candidates)), size):
+            if sum(inbound[k] for k in combo) < need:
+                continue
+            avg = sum(delays[k] for k in combo) / size
+            if avg < best_avg:
+                best_sel, best_avg = combo, avg
+    if best_sel is None:
+        raise InfeasibleError("no feasible link selection exists")
+    return _plan_from_selection(scenario, candidates, list(best_sel))
+
+
+def oracle_outcome(oracle, scenario: Scenario):
+    """A plan's arrays as bytes plus the repr of its average, or the error."""
+    try:
+        plan = oracle(scenario)
+    except (InfeasibleError, SizeError) as exc:
+        return type(exc), str(exc)
+    return (plan.link_matrix.tobytes(), plan.compression.tobytes(),
+            plan.rates.tobytes(), plan.delays.tobytes(), repr(plan.avg_delay_s))
+
+
+def square_fleet(budget: int, need: int) -> Scenario:
+    """Four corners of a square and its centre: the two diagonals are so long
+    that their capacity rounds to 0, leaving 16 candidates; a third of the
+    pairs send nothing."""
+    xy = [(0.0, 0.0), (100.0, 100.0), (-100.0, 100.0), (-100.0, -100.0),
+          (100.0, -100.0)]
+    rng = np.random.default_rng(16)
+    volumes = rng.uniform(1e5, 2e7, size=(5, 5))
+    volumes[rng.random((5, 5)) < 0.3] = 0.0
+    np.fill_diagonal(volumes, 0.0)
+    params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=budget,
+                           transmit_power_w=1.0, noise_level=1e-18,
+                           pathloss_exponent=24.0, reference_distance_m=10.0)
+    return Scenario(nodes=[VehicleNode(k, x, y) for k, (x, y) in enumerate(xy)],
+                    ego_id=0, data_volumes_bits=volumes, channel=params, beta=0.8,
+                    min_ego_links=need)
+
+
 class TestExhaustiveOptimum:
     def test_matches_optimize_on_two_nodes(self, two_node_scenario):
         assert (exhaustive_optimum(two_node_scenario).avg_delay_s
@@ -333,6 +395,57 @@ class TestExhaustiveOptimum:
         assert plan.avg_delay_s == pytest.approx(0.006303611910759878, rel=1e-12)
         assert optimize(s).avg_delay_s == plan.avg_delay_s
 
+    def test_equals_itertools_scan_byte_for_byte(self):
+        fleets = [random_scenario(seed, max_nodes=5, max_subchannels=4)
+                  for seed in range(300)]
+        fleets += [random_scenario(seed, max_nodes=5, max_subchannels=8)
+                   for seed in range(300, 330)]
+        rng = np.random.default_rng(14)
+        for budget, need in ((3, 1), (5, 2), (8, 3), (12, 1)):
+            fleets.append(random_fleet(rng, 4, budget, 0.6, need))  # idle-pair ties
+            idle = random_fleet(rng, 4, budget, 0.0, need)
+            fleets.append(Scenario(nodes=idle.nodes, ego_id=0,  # every size ties at 0
+                                   data_volumes_bits=np.zeros((4, 4)),
+                                   channel=idle.channel, beta=0.8, min_ego_links=need))
+        fleets.append(square_fleet(16, 2))
+        assert len(_candidates(fleets[-1])) == 16
+        for k, s in enumerate(fleets):
+            expected = oracle_outcome(reference_exhaustive_optimum, s)
+            assert isinstance(expected[0], bytes), (k, expected)
+            assert oracle_outcome(exhaustive_optimum, s) == expected, k
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_equal_errors_on_infeasible_fleets(self, basic_params):
+        far = Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, 1e200, 0.0),
+                              VehicleNode(2, 1e200, 10.0)],
+                       ego_id=0, data_volumes_bits=np.zeros((3, 3)),
+                       channel=basic_params, beta=0.8, min_ego_links=1)
+        # a bandwidth so small that every loaded link takes infinitely long
+        slow = random_fleet(np.random.default_rng(3), 3, 4, 0.0, 1)
+        slow = Scenario(nodes=slow.nodes, ego_id=0, data_volumes_bits=slow.data_volumes_bits,
+                        channel=ChannelParams(total_bandwidth_hz=1e-318, num_subchannels=4,
+                                              transmit_power_w=0.2, noise_level=1e-9,
+                                              pathloss_exponent=2.7,
+                                              reference_distance_m=10.0),
+                        beta=0.8, min_ego_links=1)
+        crowded = random_fleet(np.random.default_rng(6), 6, 4, 0.2, 1)
+        lone = Scenario(nodes=[VehicleNode(0, 0.0, 0.0)], ego_id=0,
+                        data_volumes_bits=np.zeros((1, 1)), channel=basic_params,
+                        beta=0.8)
+        errors = set()
+        for s in (square_fleet(3, 4), far, slow, crowded, lone):
+            expected = oracle_outcome(reference_exhaustive_optimum, s)
+            assert oracle_outcome(exhaustive_optimum, s) == expected
+            errors.add(expected)
+        assert errors == {
+            (InfeasibleError, "link budget violated before planning: "
+                              "num_subchannels=3 cannot host min_ego_links=4"),
+            (InfeasibleError, "ego connectivity: only 0 positive-capacity links "
+                              "reach the ego vehicle, min_ego_links=1"),
+            (InfeasibleError, "no feasible link selection exists"),
+            (SizeError, "30 candidate links exceed the enumeration cap of 20"),
+            (InfeasibleError, "planning needs at least two nodes")}
+
     def test_size_cap(self, basic_params):
         nodes = [VehicleNode(k, 10.0 * k, 0.0) for k in range(6)]
         s = Scenario(nodes=nodes, ego_id=0, data_volumes_bits=np.zeros((6, 6)),
@@ -340,6 +453,23 @@ class TestExhaustiveOptimum:
         with pytest.raises(SizeError):
             exhaustive_optimum(s)
 
+
+@pytest.mark.parametrize("skew", [1.0, 1.5])
+def test_oracle_benchmark_exit_code(monkeypatch, capsys, skew):
+    # the script exits 1 as soon as a planner average differs from the oracle's
+    optimize_exact = v2vsim.planner.optimize
+
+    def skewed(scenario):
+        plan = optimize_exact(scenario)
+        return dataclasses.replace(plan, avg_delay_s=plan.avg_delay_s * skew)
+
+    monkeypatch.setattr(v2vsim.planner, "optimize", skewed)
+    monkeypatch.setattr("sys.argv", ["run_oracle_benchmark.py", "--instances", "5"])
+    script = Path(__file__).parents[1] / "scripts" / "run_oracle_benchmark.py"
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == (0 if skew == 1.0 else 1)
+    assert "equal to oracle" in capsys.readouterr().out
 
 class TestPlanProperties:
     @pytest.mark.parametrize("seed", [2, 9, 17])

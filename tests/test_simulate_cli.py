@@ -113,8 +113,9 @@ class TestSimulate:
         recon = align(decode(frame), ego_img, alpha)
         assert record.quant_step == step
         assert record.bits == frame.bit_count
-        assert record.psnr_db == pytest.approx(psnr(img, recon), abs=1e-12)
-        assert record.mse == pytest.approx(mse(img, recon), abs=1e-15)
+        # one mse per link, with psnr_db derived from it as psnr() does
+        assert record.psnr_db == psnr(img, recon)
+        assert record.mse == mse(img, recon)
         assert result.report.bitrate_bpp == pytest.approx(
             frame.bit_count / img.size, rel=1e-12)
 
@@ -295,6 +296,18 @@ class TestCli:
                    "--outdir", str(scenario_dir / "oracle")])
         assert rc == 0
         assert (scenario_dir / "oracle" / "plan.csv").exists()
+
+    def test_oracle_refuses_more_than_20_candidates(self, basic_params, tmp_path,
+                                                    capsys):
+        s = Scenario(nodes=[VehicleNode(k, 30.0 * k, 0.0) for k in range(6)],
+                     ego_id=0, data_volumes_bits=np.zeros((6, 6)),
+                     channel=basic_params, beta=0.8)
+        (tmp_path / "big.scn").write_text(format_scenario(s))
+        rc = main(["oracle", "--scenario", str(tmp_path / "big.scn"),
+                   "--outdir", str(tmp_path / "oracle")])
+        assert rc == 2
+        assert "30 candidate links exceed the enumeration cap of 20" in capsys.readouterr().err
+        assert not (tmp_path / "oracle").exists()
 
     def test_simulate_has_no_quant_step_flag(self, scenario_dir, capsys):
         # rate control picks the step; the flag could only change the manifest
