@@ -349,7 +349,7 @@ def oracle_outcome(oracle, scenario: Scenario):
 
 def square_fleet(budget: int, need: int) -> Scenario:
     """Four corners of a square and its centre: the two diagonals are so long
-    that their capacity rounds to 0, leaving 16 candidates; a third of the
+    that their capacity rounds to 0, leaving 16 candidates; about 30% of the
     pairs send nothing."""
     xy = [(0.0, 0.0), (100.0, 100.0), (-100.0, 100.0), (-100.0, -100.0),
           (100.0, -100.0)]
@@ -456,7 +456,7 @@ class TestExhaustiveOptimum:
 
 @pytest.mark.parametrize("skew", [1.0, 1.5])
 def test_oracle_benchmark_exit_code(monkeypatch, capsys, skew):
-    # the script exits 1 as soon as a planner average differs from the oracle's
+    # the script exits 1 when any planner average differs from the oracle's
     optimize_exact = v2vsim.planner.optimize
 
     def skewed(scenario):
@@ -470,6 +470,7 @@ def test_oracle_benchmark_exit_code(monkeypatch, capsys, skew):
         runpy.run_path(str(script), run_name="__main__")
     assert exit_info.value.code == (0 if skew == 1.0 else 1)
     assert "equal to oracle" in capsys.readouterr().out
+
 
 class TestPlanProperties:
     @pytest.mark.parametrize("seed", [2, 9, 17])
