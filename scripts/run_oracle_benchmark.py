@@ -22,6 +22,8 @@ def main() -> int:
     parser.add_argument("--max-nodes", type=int, default=4)
     parser.add_argument("--max-subchannels", type=int, default=4)
     args = parser.parse_args()
+    if args.instances < 1:
+        parser.error("--instances must be >= 1")
 
     exact = 0
     violations = 0

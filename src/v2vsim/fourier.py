@@ -1,12 +1,13 @@
-"""Amplitude/phase spectra and low-frequency amplitude mixing between images.
+"""Low-frequency amplitude alignment between images, after FDA (Yang & Soatto 2020).
 
 Images are float64 arrays in [0, 1], shaped (H, W) or (H, W, C) with C in
-{1, 3}.  Spectra are stored DC-centered: the forward transform applies an
-fft-shift so the zero-frequency bin sits at (H//2, W//2), which is also the
-center of the rectangular low-frequency mask.
-
-``align`` mixes on the real half-spectrum (``rfft2``) inside the rectangle
-only; the rectangle is symmetric about DC, so its output is real by construction.
+{1, 3}.  Both ``align`` and ``domain_gap`` work on the real half-spectrum
+(``rfft2``) inside one low-frequency rectangle, ``_low_band``: row
+frequencies within floor(alpha * H) of DC either way, column frequencies up
+to floor(alpha * W).  The rectangle is symmetric about DC, so ``align``'s
+output is real by construction.  ``rfft2`` keeps columns 0..W//2 only, so of
+two Hermitian-mirrored bins of the full spectrum the rectangle holds one,
+unless both lie in column 0 (or W/2).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def check_image(img: np.ndarray, name: str = "image") -> np.ndarray:
 
 @dataclass
 class Spectrum:
-    """Per-channel amplitude and phase of an image's 2-D DFT."""
+    """Per-channel amplitude and phase of an image's 2-D DFT.  Unused by the package,
+    like ``dft2`` and ``idft2``: kept only for the benchmark under ``perfbench/``."""
 
     amplitude: np.ndarray
     phase: np.ndarray
@@ -49,34 +51,17 @@ class Spectrum:
             raise ValidationError("amplitude must be non-negative")
 
 
-@dataclass(frozen=True)
-class FreqMask:
-    """Binary rectangle around the DC bin of a shifted spectrum.
-
-    Half-widths are floor(alpha * H) and floor(alpha * W); the rectangle is
-    inclusive on both ends and clipped to the image bounds.  alpha == 0 is
-    the empty mask, making downstream mixing an identity.
-    """
-
-    alpha: float
-    height: int
-    width: int
-    mask: np.ndarray
-
-    @property
-    def ones_count(self) -> int:
-        return int(self.mask.sum())
-
-
 def dft2(img: np.ndarray) -> Spectrum:
-    """Forward per-channel 2-D DFT, unnormalized, DC-centered."""
+    """Forward per-channel 2-D DFT, unnormalized, DC-centered.  Unused by the
+    package: kept only for the benchmark under ``perfbench/``."""
     arr = check_image(img)
     spec = np.fft.fftshift(np.fft.fft2(arr, axes=(0, 1)), axes=(0, 1))
     return Spectrum(amplitude=np.abs(spec), phase=np.angle(spec))
 
 
 def idft2(spec: Spectrum) -> np.ndarray:
-    """Inverse 2-D DFT of a DC-centered spectrum; returns the real part."""
+    """Inverse 2-D DFT of a DC-centered spectrum; returns the real part.  Unused
+    by the package: kept only for the benchmark under ``perfbench/``."""
     field = np.fft.ifftshift(spec.amplitude * np.exp(1j * spec.phase), axes=(0, 1))
     return np.fft.ifft2(field, axes=(0, 1)).real
 
@@ -87,46 +72,24 @@ def check_alpha(alpha: float) -> None:
         raise ValidationError("alpha must lie in [0, 1)")
 
 
-def _half_widths(alpha: float, height: int, width: int) -> tuple[int, int]:
-    """Half-widths floor(alpha * H), floor(alpha * W) of the low-frequency rectangle.
+def _low_band(alpha: float, height: int, width: int) -> tuple[tuple[slice, slice], ...]:
+    """The low-frequency rectangle of an H x W image's ``rfft2`` half-spectrum.
 
-    alpha == 0 gives (-1, -1), the empty rectangle.
+    Rows r with min(r, H - r) <= floor(alpha * H) and columns c <= floor(alpha * W),
+    as (rows, cols) index pairs: the non-negative row frequencies, then the
+    negative ones.  alpha == 0 gives empty pairs.
     """
     check_alpha(alpha)
-    if alpha == 0:
-        return -1, -1
-    return math.floor(alpha * height), math.floor(alpha * width)
-
-
-def low_freq_mask(alpha: float, height: int, width: int) -> FreqMask:
-    """Build the central rectangle mask for a shifted H x W spectrum."""
-    hh, hw = _half_widths(alpha, height, width)
-    if height < 1 or width < 1:
-        raise ValidationError("mask dimensions must be positive")
-    mask = np.zeros((height, width), dtype=bool)
-    cy, cx = height // 2, width // 2
-    mask[max(0, cy - hh):min(height, cy + hh + 1),
-         max(0, cx - hw):min(width, cx + hw + 1)] = True
-    return FreqMask(alpha=alpha, height=height, width=width, mask=mask)
-
-
-def mix_amplitude(src_amp: np.ndarray, tgt_amp: np.ndarray, mask: FreqMask) -> np.ndarray:
-    """Target amplitude inside the mask, source amplitude outside, exactly."""
-    if src_amp.shape != tgt_amp.shape:
-        raise ValidationError(
-            f"amplitude shapes differ: {src_amp.shape} vs {tgt_amp.shape}")
-    if src_amp.shape[:2] != (mask.height, mask.width):
-        raise ValidationError(
-            f"mask {mask.height}x{mask.width} does not fit amplitude {src_amp.shape[:2]}")
-    m = mask.mask if src_amp.ndim == 2 else mask.mask[:, :, None]
-    return np.where(m, tgt_amp, src_amp)
+    hh, hw = (math.floor(alpha * height), math.floor(alpha * width)) if alpha else (-1, -1)
+    top = min(hh + 1, height)
+    cols = slice(0, hw + 1)
+    return (slice(0, top), cols), (slice(max(top, height - hh), height), cols)
 
 
 def align(src: np.ndarray, tgt: np.ndarray, alpha: float, clip: bool = True) -> np.ndarray:
     """Push the source image toward the target's low-frequency style.
 
-    Half-spectrum bins in the rectangle (row r with min(r, H - r) <= floor(alpha * H),
-    column c <= floor(alpha * W)) become ``|F_tgt| * exp(1j * angle(F_src))``;
+    Half-spectrum bins in ``_low_band`` become ``|F_tgt| * exp(1j * angle(F_src))``;
     all others keep the source's value.  The result is clipped to [0, 1] unless
     ``clip`` is False, which exists so spectral properties can be checked on
     the raw signal.
@@ -136,12 +99,10 @@ def align(src: np.ndarray, tgt: np.ndarray, alpha: float, clip: bool = True) -> 
     if s.shape != t.shape:
         raise ValidationError(f"source shape {s.shape} != target shape {t.shape}")
     h, w = s.shape[:2]
-    hh, hw = _half_widths(alpha, h, w)
+    band = _low_band(alpha, h, w)
     spec = np.fft.rfft2(s, axes=(0, 1))
     tgt_spec = np.fft.rfft2(t, axes=(0, 1))
-    top = min(hh + 1, h)
-    cols = slice(0, hw + 1)
-    for rows in (slice(0, top), slice(max(top, h - hh), h)):
+    for rows, cols in band:
         spec[rows, cols] = np.abs(tgt_spec[rows, cols]) * np.exp(1j * np.angle(spec[rows, cols]))
     out = np.fft.irfft2(spec, s=(h, w), axes=(0, 1))
     if clip:
@@ -149,19 +110,15 @@ def align(src: np.ndarray, tgt: np.ndarray, alpha: float, clip: bool = True) -> 
     return out
 
 
-def _amplitude_feature(img: np.ndarray, mask: FreqMask) -> np.ndarray:
-    amp = dft2(img).amplitude
-    region = amp[mask.mask] if amp.ndim == 2 else amp[mask.mask, :]
-    return np.log1p(region).ravel()
-
-
 def domain_gap(set_a: list[np.ndarray], set_b: list[np.ndarray],
                feature_alpha: float) -> float:
     """Mean pairwise cross-set distance between low-frequency log-amplitude features.
 
-    Zero iff every cross-set pair has identical features; symmetric in the
-    two sets.  With ``feature_alpha == 0`` the feature is empty and the gap
-    is 0 by convention.
+    An image's feature is ``log1p(|rfft2|)`` over ``_low_band(feature_alpha)``,
+    the bins ``align`` rewrites, so a Hermitian-mirrored pair of full-spectrum
+    bins counts once (twice only in columns 0 and W/2).  Zero iff every
+    cross-set pair has identical features; symmetric in the two sets.  With
+    ``feature_alpha == 0`` the feature is empty and the gap is 0 by convention.
     """
     if not set_a or not set_b:
         raise ValidationError("both image sets must be non-empty")
@@ -171,10 +128,9 @@ def domain_gap(set_a: list[np.ndarray], set_b: list[np.ndarray],
     for arr in imgs_a + imgs_b:
         if arr.shape != shape:
             raise ValidationError("all images must share one shape")
-    mask = low_freq_mask(feature_alpha, shape[0], shape[1])
-    feats_a = [_amplitude_feature(x, mask) for x in imgs_a]
-    feats_b = [_amplitude_feature(x, mask) for x in imgs_b]
-    total = 0.0
-    for fa, fb in product(feats_a, feats_b):
-        total += float(np.linalg.norm(fa - fb))
+    band = _low_band(feature_alpha, shape[0], shape[1])
+    amps = [np.abs(np.fft.rfft2(x, axes=(0, 1))) for x in imgs_a + imgs_b]
+    feats = [np.concatenate([np.log1p(amp[b]).ravel() for b in band]) for amp in amps]
+    feats_a, feats_b = feats[:len(imgs_a)], feats[len(imgs_a):]
+    total = sum(float(np.linalg.norm(fa - fb)) for fa, fb in product(feats_a, feats_b))
     return total / (len(feats_a) * len(feats_b))

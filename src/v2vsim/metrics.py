@@ -1,4 +1,4 @@
-"""Image quality and segmentation-overlap metrics for unit-range images.
+"""Image quality metrics for unit-range images.
 
 PSNR uses peak 1.0, so ``psnr = 10 * log10(1 / mse)`` and identical inputs
 return ``math.inf`` as the documented sentinel.  MS-SSIM follows the standard
@@ -146,32 +146,3 @@ def ms_ssim(x: np.ndarray, y: np.ndarray, scales: int | None = None) -> float:
         return _ms_ssim_single(a, b, scales)
     vals = [_ms_ssim_single(a[:, :, c], b[:, :, c], scales) for c in range(a.shape[2])]
     return float(np.mean(vals))
-
-
-def iou(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> tuple[np.ndarray, float]:
-    """Per-class and mean intersection-over-union for integer label maps.
-
-    Classes absent from both maps are excluded from the mean (NaN in the
-    per-class vector).  Labels outside [0, num_classes) raise.
-    """
-    p = np.asarray(pred)
-    t = np.asarray(truth)
-    if p.shape != t.shape:
-        raise ValidationError(f"label map shapes differ: {p.shape} vs {t.shape}")
-    if num_classes < 1:
-        raise ValidationError("num_classes must be >= 1")
-    for name, arr in (("pred", p), ("truth", t)):
-        if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
-            raise ValidationError(
-                f"{name} labels must lie in [0, {num_classes}); "
-                f"found range [{arr.min()}, {arr.max()}]")
-    per_class = np.full(num_classes, np.nan)
-    for cls in range(num_classes):
-        inter = np.count_nonzero((p == cls) & (t == cls))
-        union = np.count_nonzero((p == cls) | (t == cls))
-        if union:
-            per_class[cls] = inter / union
-    present = ~np.isnan(per_class)
-    mean = float(per_class[present].mean()) if present.any() else math.nan
-    return per_class, mean
-

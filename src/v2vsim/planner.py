@@ -156,7 +156,8 @@ def _candidates(scenario: Scenario) -> Candidates:
     cap = caps[src, dst]
     dist = dists[src, dst]
     floor = _ratio_floor(dist, scenario.beta, scenario.distance_scale_m)
-    delay = floor * scenario.data_volumes_bits[src, dst] / cap
+    with np.errstate(over="ignore"):  # a delay past the float range is inf; no plan picks it
+        delay = floor * scenario.data_volumes_bits[src, dst] / cap
     return Candidates(src, dst, cap, dist, floor, delay)
 
 
@@ -196,7 +197,7 @@ def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
     Exact and deterministic (see the module docstring).  ``cfg`` is ignored;
     it stays only for the benchmark's ``optimize(scenario, SolverConfig(...))``
     calls.  Raises InfeasibleError when no selection can satisfy the link
-    budget and the ego-link floor.
+    budget and the ego-link floor with a finite average delay.
     """
     if len(scenario.nodes) < 2:
         raise InfeasibleError("planning needs at least two nodes")
@@ -225,8 +226,10 @@ def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
     # the smallest k among equal averages
     averages = (np.cumsum(candidates.delay_s[prefix])[need - 1:]
                 / np.arange(need, len(prefix) + 1))
-    size = need + int(np.argmin(averages))
-    return _plan_from_selection(scenario, candidates, prefix[:size])
+    best = int(np.argmin(averages))
+    if not math.isfinite(averages[best]):  # as in the oracle, an infinite average never wins
+        raise InfeasibleError("no feasible link selection exists")
+    return _plan_from_selection(scenario, candidates, prefix[:need + best])
 
 
 def exhaustive_optimum(scenario: Scenario) -> CommPlan:

@@ -52,8 +52,7 @@ class LinkRecord(PlanLink):
 
 @dataclass
 class QualityReport:
-    """Per-run aggregates: the one row of ``report.csv``.  ``mean_iou`` has
-    no segmentation model behind it, so it is always NaN."""
+    """Per-run aggregates: the one row of ``report.csv``."""
 
     avg_delay_s: float
     n_links: int
@@ -62,7 +61,6 @@ class QualityReport:
     mean_psnr_db: float
     mean_ms_ssim: float
     mean_mse: float
-    mean_iou: float = math.nan
 
 
 PLAN_CSV_HEADER = ",".join(f.name for f in fields(PlanLink))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,32 @@ def fleet_40(basic_params):
         channel=basic_params,
         beta=0.8,
     )
+
+
+def _fda_full_spectrum(src, tgt, alpha):
+    """Full-spectrum FDA (Yang & Soatto 2020), independent of ``v2vsim.fourier``.
+
+    On the DC-centred ``fftshift(fft2)`` spectrum, every bin (r, c) with
+    |r - H//2| <= floor(alpha * H) and |c - W//2| <= floor(alpha * W) takes the
+    target's amplitude (no bin at alpha 0), every other bin keeps the
+    source's, and all keep the source's phase.  Returns the real part of the
+    inverse transform and the mixed, centred amplitude.
+    """
+    h, w = src.shape[:2]
+    rows = np.abs(np.arange(h) - h // 2)[:, None] <= math.floor(alpha * h)
+    cols = np.abs(np.arange(w) - w // 2)[None, :] <= math.floor(alpha * w)
+    inside = (rows & cols) & (alpha > 0)
+    if src.ndim == 3:
+        inside = inside[:, :, None]
+    src_spec, tgt_spec = (np.fft.fftshift(np.fft.fft2(x, axes=(0, 1)), axes=(0, 1))
+                          for x in (src, tgt))
+    amp = np.where(inside, np.abs(tgt_spec), np.abs(src_spec))
+    field = np.fft.ifftshift(amp * np.exp(1j * np.angle(src_spec)), axes=(0, 1))
+    return np.fft.ifft2(field, axes=(0, 1)).real, amp
+
+
+@pytest.fixture(scope="session")
+def fda_reference():
+    """``(src, tgt, alpha) -> (image, centred amplitude)``: the full-spectrum
+    FDA mix that ``fourier.align`` must reproduce on the half spectrum."""
+    return _fda_full_spectrum

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from v2vsim.errors import ImageFormatError, ValidationError
-from v2vsim.fourier import (Spectrum, align, dft2, domain_gap, idft2,
-                            low_freq_mask, mix_amplitude)
+from v2vsim.fourier import Spectrum, _low_band, align, dft2, domain_gap, idft2
 from v2vsim.image_io import read_image, write_image
 from v2vsim.synth import shifted_domain_pair
 
@@ -87,74 +86,85 @@ class TestTransforms:
             dft2(np.ones((4, 4, 2)))
 
 
+def band_mask(alpha, h, w):
+    """``_low_band`` as a boolean mask over the H x (W//2 + 1) half spectrum."""
+    mask = np.zeros((h, w // 2 + 1), dtype=bool)
+    for rows, cols in _low_band(alpha, h, w):
+        mask[rows, cols] = True
+    return mask
+
+
+def centred_rectangle_on_half(alpha, h, w):
+    """The DC-centred full-spectrum rectangle, read at each half-spectrum bin.
+
+    Half-spectrum bin (r, c) sits at ((r + H//2) % H, (c + W//2) % W) after
+    fftshift; it is inside when both offsets from (H//2, W//2) are within
+    floor(alpha * H) and floor(alpha * W).
+    """
+    hh, hw = math.floor(alpha * h), math.floor(alpha * w)
+    expected = np.zeros((h, w // 2 + 1), dtype=bool)
+    if alpha == 0:
+        return expected
+    for r in range(h):
+        for c in range(w // 2 + 1):
+            expected[r, c] = (abs((r + h // 2) % h - h // 2) <= hh
+                              and abs((c + w // 2) % w - w // 2) <= hw)
+    return expected
+
+
 class TestMask:
+    """The one low-frequency band, ``_low_band``, on the rfft2 half spectrum."""
+
     def test_alpha_zero_is_empty(self):
-        assert low_freq_mask(0.0, 12, 34).ones_count == 0
+        assert not band_mask(0.0, 12, 34).any()
 
     def test_alpha_point_one_on_10x10(self):
-        mask = low_freq_mask(0.1, 10, 10)
-        assert mask.ones_count == 9
-        assert mask.mask[5, 5]
+        # half-widths 1: rows 0, 1 and 9 (frequency -1), columns 0 and 1
+        mask = band_mask(0.1, 10, 10)
+        assert mask.sum() == 6
+        assert mask[0, 0] and mask[9, 1] and not mask[2, 0] and not mask[0, 2]
 
     def test_odd_dims_by_enumeration(self):
-        mask = low_freq_mask(0.45, 7, 9)
-        hh, hw = math.floor(0.45 * 7), math.floor(0.45 * 9)
-        expected = np.zeros((7, 9), dtype=bool)
-        for r in range(7):
-            for c in range(9):
-                if abs(r - 3) <= hh and abs(c - 4) <= hw:
-                    expected[r, c] = True
-        assert np.array_equal(mask.mask, expected)
-        assert mask.ones_count == int(expected.sum())
+        assert np.array_equal(band_mask(0.45, 7, 9), centred_rectangle_on_half(0.45, 7, 9))
 
     @given(alpha=st.floats(0.0, 0.999), h=st.integers(2, 40), w=st.integers(2, 40))
     def test_count_formula(self, alpha, h, w):
-        mask = low_freq_mask(alpha, h, w)
+        mask = band_mask(alpha, h, w)
+        assert np.array_equal(mask, centred_rectangle_on_half(alpha, h, w))
         if alpha == 0:
-            assert mask.ones_count == 0
+            assert mask.sum() == 0
         else:
             hh, hw = math.floor(alpha * h), math.floor(alpha * w)
-            rows = min(h - 1, h // 2 + hh) - max(0, h // 2 - hh) + 1
-            cols = min(w - 1, w // 2 + hw) - max(0, w // 2 - hw) + 1
-            assert mask.ones_count == rows * cols
+            assert mask.sum() == min(h, 2 * hh + 1) * min(w // 2 + 1, hw + 1)
 
     def test_alpha_one_rejected(self):
         with pytest.raises(ValidationError):
-            low_freq_mask(1.0, 8, 8)
+            _low_band(1.0, 8, 8)
 
     @pytest.mark.parametrize("alpha", [math.nan, -0.1])
     def test_alpha_nan_or_negative_rejected(self, alpha):
         with pytest.raises(ValidationError, match=r"alpha must lie in \[0, 1\)"):
-            low_freq_mask(alpha, 8, 8)
+            _low_band(alpha, 8, 8)
 
 
 class TestMixAmplitude:
-    def test_empty_mask_keeps_source(self):
-        rng = np.random.default_rng(2)
-        src, tgt = rng.random((6, 6)), rng.random((6, 6))
-        out = mix_amplitude(src, tgt, low_freq_mask(0.0, 6, 6))
-        assert np.array_equal(out, src)
-
-    def test_self_mix_identity(self):
-        rng = np.random.default_rng(3)
-        src = rng.random((6, 6))
-        out = mix_amplitude(src, src.copy(), low_freq_mask(0.2, 6, 6))
-        assert np.array_equal(out, src)
+    """``align``'s amplitude mix, bin by bin on the half spectrum it writes."""
 
     def test_elementwise_selection(self):
         rng = np.random.default_rng(4)
-        src, tgt = rng.random((6, 6)), rng.random((6, 6))
-        mask = low_freq_mask(0.2, 6, 6)
-        out = mix_amplitude(src, tgt, mask)
-        for r in range(6):
-            for c in range(6):
-                assert out[r, c] == (tgt[r, c] if mask.mask[r, c] else src[r, c])
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            mix_amplitude(np.ones((6, 6)), np.ones((6, 7)), low_freq_mask(0.2, 6, 6))
-        with pytest.raises(ValidationError):
-            mix_amplitude(np.ones((8, 8)), np.ones((8, 8)), low_freq_mask(0.2, 6, 6))
+        for shape in ((6, 6), (7, 9), (12, 10, 3)):
+            src, tgt = rng.random(shape), rng.random(shape)
+            out, src_spec, tgt_spec = (np.fft.rfft2(x, axes=(0, 1))
+                                       for x in (align(src, tgt, 0.2, clip=False), src, tgt))
+            inside = band_mask(0.2, shape[0], shape[1])
+            if len(shape) == 3:
+                inside = np.repeat(inside[:, :, None], shape[2], axis=2)
+            assert inside.any() and not inside.all()
+            amp = np.abs(out)
+            assert np.allclose(amp[inside], np.abs(tgt_spec)[inside], rtol=1e-9, atol=1e-12)
+            assert np.allclose(out[~inside], src_spec[~inside], rtol=1e-9, atol=1e-12)
+            phase_gap = np.angle(out / src_spec)[amp > 1e-9]
+            assert np.max(np.abs(phase_gap)) < 1e-9
 
 
 class TestAlign:
@@ -176,21 +186,19 @@ class TestAlign:
         out = align(src, tgt, 0.05)
         assert abs(out.mean() - tgt.mean()) < abs(src.mean() - tgt.mean())
 
-    def test_phase_and_amplitude_contracts(self):
+    def test_phase_and_amplitude_contracts(self, fda_reference):
         rng = np.random.default_rng(9)
         src, tgt = rng.random((16, 16)), rng.random((16, 16))
         alpha = 0.2
         out = align(src, tgt, alpha, clip=False)
-        out_spec = dft2(out)
-        src_spec = dft2(src)
-        tgt_spec = dft2(tgt)
-        mask = low_freq_mask(alpha, 16, 16)
-        mixed = mix_amplitude(src_spec.amplitude, tgt_spec.amplitude, mask)
+        out_spec = np.fft.fftshift(np.fft.fft2(out))
+        src_spec = np.fft.fftshift(np.fft.fft2(src))
+        mixed = fda_reference(src, tgt, alpha)[1]
         # amplitude obeys the mixing contract
-        assert np.max(np.abs(out_spec.amplitude - mixed) / (mixed + 1e-12)) < 1e-6
+        assert np.max(np.abs(np.abs(out_spec) - mixed) / (mixed + 1e-12)) < 1e-6
         # phase follows the source wherever amplitude is meaningful
-        significant = out_spec.amplitude > 1e-12
-        dphi = np.angle(np.exp(1j * (out_spec.phase - src_spec.phase)))
+        significant = np.abs(out_spec) > 1e-12
+        dphi = np.angle(np.exp(1j * (np.angle(out_spec) - np.angle(src_spec))))
         assert np.max(np.abs(dphi[significant])) < 1e-6
 
     def test_influence_grows_with_alpha(self):
@@ -206,18 +214,25 @@ class TestAlign:
     @pytest.mark.parametrize("alpha", [0.0, 0.05, 0.25, 0.5, 0.6, 0.99])
     @pytest.mark.parametrize("shape", [(2, 2), (8, 8), (7, 9), (8, 9), (176, 176),
                                        (12, 10, 3)])
-    def test_matches_full_spectrum_mix(self, shape, alpha):
+    def test_matches_full_spectrum_mix(self, shape, alpha, fda_reference):
         # the full-plane formula: target amplitude inside the DC-centered
-        # mask, source amplitude outside, source phase everywhere
+        # rectangle, source amplitude outside, source phase everywhere
         rng = np.random.default_rng(sum(shape) + int(alpha * 100))
         src, tgt = rng.random(shape), rng.random(shape)
-        src_spec, tgt_spec = dft2(src), dft2(tgt)
-        mask = low_freq_mask(alpha, shape[0], shape[1])
-        mixed = mix_amplitude(src_spec.amplitude, tgt_spec.amplitude, mask)
-        expected = idft2(Spectrum(mixed, src_spec.phase))
+        expected = fda_reference(src, tgt, alpha)[0]
         out = align(src, tgt, alpha, clip=False)
         assert out.shape == shape
         assert np.max(np.abs(out - expected)) < 1e-12
+
+    @given(h=st.integers(2, 40), w=st.integers(2, 40), alpha=st.floats(0.0, 0.999),
+           colour=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_spectrum_mix_on_any_shape(self, fda_reference, h, w, alpha,
+                                                     colour, seed):
+        rng = np.random.default_rng(seed)
+        shape = (h, w, 3) if colour else (h, w)
+        src, tgt = rng.random(shape), rng.random(shape)
+        out = align(src, tgt, alpha, clip=False)
+        assert np.max(np.abs(out - fda_reference(src, tgt, alpha)[0])) < 1e-12
 
     @pytest.mark.parametrize("alpha", [1.0, math.nan, -0.1])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
@@ -264,6 +279,25 @@ class TestDomainGap:
     def test_empty_set_rejected(self):
         with pytest.raises(ValidationError):
             domain_gap([], [np.ones((4, 4))], 0.1)
+
+    @pytest.mark.parametrize("alpha", [1.0, math.nan, -0.1])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValidationError, match=r"alpha must lie in \[0, 1\)"):
+            domain_gap([np.ones((8, 8))], [np.zeros((8, 8))], alpha)
+
+    def test_alpha_zero_gap_is_zero(self):
+        rng = np.random.default_rng(16)
+        assert domain_gap([rng.random((9, 12))], [rng.random((9, 12))], 0.0) == 0.0
+
+    @pytest.mark.parametrize("shape", [(16, 16), (9, 14), (12, 10, 3)])
+    def test_feature_is_the_aligned_band(self, shape):
+        # the log-amplitude distance over the half-spectrum bins of the
+        # centred rectangle, each bin once
+        rng = np.random.default_rng(sum(shape))
+        a, b = rng.random(shape), rng.random(shape)
+        inside = centred_rectangle_on_half(0.2, shape[0], shape[1])
+        fa, fb = (np.log1p(np.abs(np.fft.rfft2(x, axes=(0, 1)))[inside]) for x in (a, b))
+        assert domain_gap([a], [b], 0.2) == pytest.approx(np.linalg.norm(fa - fb), rel=1e-12)
 
 
 class TestImageIO:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import runpy
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +455,48 @@ class TestExhaustiveOptimum:
             exhaustive_optimum(s)
 
 
+def overflow_fleet(bandwidth_hz: float, volumes) -> Scenario:
+    """Three nodes on a channel so narrow that some or all delays overflow to inf."""
+    params = ChannelParams(total_bandwidth_hz=bandwidth_hz, num_subchannels=3,
+                           transmit_power_w=0.2, noise_level=1e-9,
+                           pathloss_exponent=2.7, reference_distance_m=10.0)
+    return Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, 30.0, 0.0),
+                           VehicleNode(2, 0.0, 40.0)],
+                    ego_id=0, data_volumes_bits=np.array(volumes, dtype=float),
+                    channel=params, beta=0.5, min_ego_links=1)
+
+
+ALL_OVERFLOW = (1e-318, [[0, 1e6, 1e6], [1e6, 0, 1e6], [1e6, 1e6, 0]])
+
+
+class TestOverflowingDelays:
+    """An infinite average never wins, in the scan as in the oracle."""
+
+    def test_all_delays_infinite_raise_the_same_error(self):
+        s = overflow_fleet(*ALL_OVERFLOW)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isinf(_candidates(s).delay_s).all()
+            errors = []
+            for solver in (optimize, exhaustive_optimum):
+                with pytest.raises(InfeasibleError) as info:
+                    solver(s)
+                errors.append(str(info.value))
+        assert errors == ["no feasible link selection exists"] * 2
+
+    def test_some_delays_infinite_agree_with_the_oracle(self):
+        s = overflow_fleet(1e-300, [[0, 1e10, 1e6], [1e6, 0, 1e10], [1e10, 1e6, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delays = _candidates(s).delay_s
+            plan, oracle = optimize(s), exhaustive_optimum(s)
+            assert validate_plan(plan, s) == []
+        assert np.isinf(delays).any() and np.isfinite(delays).any()
+        assert math.isfinite(plan.avg_delay_s) and plan.avg_delay_s > 1e300
+        assert plan.avg_delay_s == oracle.avg_delay_s
+        assert np.array_equal(plan.link_matrix, oracle.link_matrix)
+
+
 @pytest.mark.parametrize("skew", [1.0, 1.5])
 def test_oracle_benchmark_exit_code(monkeypatch, capsys, skew):
     # the script exits 1 when any planner average differs from the oracle's
@@ -470,6 +513,16 @@ def test_oracle_benchmark_exit_code(monkeypatch, capsys, skew):
         runpy.run_path(str(script), run_name="__main__")
     assert exit_info.value.code == (0 if skew == 1.0 else 1)
     assert "equal to oracle" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_oracle_benchmark_rejects_no_instances(monkeypatch, capsys, count):
+    monkeypatch.setattr("sys.argv", ["run_oracle_benchmark.py", "--instances", count])
+    script = Path(__file__).parents[1] / "scripts" / "run_oracle_benchmark.py"
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert "--instances must be >= 1" in capsys.readouterr().err
 
 
 class TestPlanProperties:

@@ -396,6 +396,27 @@ class TestCli:
                    "--outdir", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_overflowing_delays_exit_3_without_warnings(self, tmp_path):
+        # every delay overflows to inf: plan and oracle both refuse the fleet,
+        # and neither prints a numeric warning
+        params = ChannelParams(total_bandwidth_hz=1e-318, num_subchannels=3,
+                               transmit_power_w=0.2, noise_level=1e-9)
+        s = Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, 30.0, 0.0),
+                            VehicleNode(2, 0.0, 40.0)],
+                     ego_id=0, data_volumes_bits=1e6 * (1 - np.eye(3)),
+                     channel=params, beta=0.5, min_ego_links=1)
+        path = tmp_path / "overflow.scn"
+        path.write_text(format_scenario(s))
+        src = os.path.dirname(os.path.dirname(v2vsim.__file__))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        for command in (["plan", "--seed", "1"], ["oracle"]):
+            out = subprocess.run(
+                [sys.executable, "-m", "v2vsim.cli", *command, "--scenario", str(path),
+                 "--outdir", str(tmp_path / command[0])],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert out.returncode == 3, out.stderr
+            assert out.stderr == "infeasible: no feasible link selection exists\n"
+
     def test_missing_file_exits_4(self, tmp_path):
         rc = main(["plan", "--scenario", str(tmp_path / "nope.scn"),
                    "--seed", "1", "--outdir", str(tmp_path / "o")])
