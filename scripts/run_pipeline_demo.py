@@ -6,7 +6,7 @@ Outputs land in the chosen directory together with the scenario and frames.
 The demo runs exactly this command, so repeating it gives byte-identical
 outputs in the rerun directory:
 
-    v2vsim simulate --scenario <outdir>/scene.scn --seed 7 --outdir <outdir>/rerun --alpha 0.05
+    v2vsim simulate --scenario <outdir>/scene.scn --outdir <outdir>/rerun --alpha 0.05
 """
 
 import argparse
@@ -25,7 +25,6 @@ from v2vsim.synth import sine_image
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="demo_out")
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--alpha", type=float, default=0.05)
     args = parser.parse_args(argv)
 
@@ -60,8 +59,7 @@ def main(argv=None) -> int:
     scenario_path.write_text(format_scenario(scenario, image_paths))
 
     rc = cli_main(["simulate", "--scenario", str(scenario_path),
-                   "--seed", str(args.seed), "--outdir", str(outdir),
-                   "--alpha", str(args.alpha)])
+                   "--outdir", str(outdir), "--alpha", str(args.alpha)])
     if rc:
         return rc
     with open(outdir / "links.csv", newline="") as fh:

@@ -109,7 +109,7 @@ class Scenario:
     beta: float
     distance_scale_m: float = 100.0
     min_ego_links: int = 1
-    _index: dict[int, int] = field(init=False, repr=False)
+    _ego_index: int = field(init=False, repr=False)
 
     def __post_init__(self):
         ids = [n.id for n in self.nodes]
@@ -140,14 +140,11 @@ class Scenario:
         if not (self.min_ego_links >= 1 and float(self.min_ego_links).is_integer()):
             raise ValidationError("min_ego_links must be an integer >= 1")
         self.data_volumes_bits = vol
-        self._index = {node_id: k for k, node_id in enumerate(ids)}
-
-    def index_of(self, node_id: int) -> int:
-        return self._index[node_id]
+        self._ego_index = ids.index(self.ego_id)
 
     @property
     def ego_index(self) -> int:
-        return self._index[self.ego_id]
+        return self._ego_index
 
     def distance_matrix(self) -> np.ndarray:
         """Pairwise distances; entry (i, j) equals ``nodes[i].distance_to(nodes[j])``."""

@@ -22,6 +22,8 @@ from .planner import exhaustive_optimum, optimize, validate_plan
 from .scenario_io import parse_scenario_document
 from .simulate import manifest_for, simulate, write_outputs, write_plan
 
+SEED_HELP = "ignored (the planner is exact); kept so older command lines still run"
+
 
 def _codec_flags(parser: argparse.ArgumentParser, omit=()) -> None:
     """One flag per CodecConfig field not in ``omit``, typed and defaulted by it."""
@@ -87,21 +89,23 @@ def _refined_model(args, cfg: CodecConfig) -> EntropyModel:
     return model
 
 
-def cmd_codec(args) -> int:
+def cmd_encode(args) -> int:
     cfg = _codec_config(args)
-    if args.mode == "encode":
-        img = read_image(args.image)
-        model = _refined_model(args, cfg)
-        if args.gamma is not None:
-            step, frame = rate_control(img, args.gamma, model, cfg)
-            print(f"rate control chose quant_step {step:.6g} "
-                  f"({frame.bit_count:.1f} bits)")
-        else:
-            frame = encode(img, cfg, model)
-            print(f"encoded at quant_step {cfg.quant_step:.6g} "
-                  f"({frame.bit_count:.1f} bits)")
-        Path(args.out).write_bytes(serialize_frame(frame))
-        return 0
+    img = read_image(args.image)
+    model = _refined_model(args, cfg)
+    if args.gamma is not None:
+        step, frame = rate_control(img, args.gamma, model, cfg)
+        print(f"rate control chose quant_step {step:.6g} "
+              f"({frame.bit_count:.1f} bits)")
+    else:
+        frame = encode(img, cfg, model)
+        print(f"encoded at quant_step {cfg.quant_step:.6g} "
+              f"({frame.bit_count:.1f} bits)")
+    Path(args.out).write_bytes(serialize_frame(frame))
+    return 0
+
+
+def cmd_decode(args) -> int:
     frame = deserialize_frame(Path(args.frame).read_bytes())
     write_image(args.out, decode(frame))
     print(f"decoded {frame.width}x{frame.height} image to {args.out}")
@@ -126,8 +130,8 @@ def cmd_simulate(args) -> int:
     codec_cfg = _codec_config(args)
     result = simulate(doc.scenario, images, codec_cfg, args.alpha,
                       args.ratio_override)
-    manifest = manifest_for(text, args.seed, codec_cfg, args.alpha,
-                            args.ratio_override, scenario_path=str(args.scenario))
+    manifest = manifest_for(text, codec_cfg, args.alpha, args.ratio_override,
+                            scenario_path=str(args.scenario))
     write_outputs(result, doc.scenario, args.outdir, manifest)
     print(f"simulated {result.report.n_links} links; "
           f"avg delay {result.report.avg_delay_s:.9g} s; outputs in {args.outdir}")
@@ -143,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan", help="optimize a communication plan")
     p_plan.add_argument("--scenario", required=True)
-    p_plan.add_argument("--seed", type=int, required=True,
-                        help="required, but the exact planner uses no seed")
+    p_plan.add_argument("--seed", type=int, help=SEED_HELP)
     p_plan.add_argument("--outdir", default="plan_out")
     p_plan.set_defaults(func=cmd_plan)
 
@@ -154,18 +157,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_codec = sub.add_parser("codec", help="encode or decode one image")
-    p_codec.add_argument("mode", choices=("encode", "decode"))
-    p_codec.add_argument("--image", help="input image for encode")
-    p_codec.add_argument("--frame", help="input container for decode")
-    p_codec.add_argument("--out", required=True)
-    p_codec.add_argument("--gamma", type=float,
-                         help="compression ratio; triggers rate control")
-    p_codec.add_argument("--refine-dir",
-                         help="directory of raw frames for model refinement")
-    p_codec.add_argument("--refine-fraction", default="1/6",
-                         help="fraction of frames used for refinement")
-    _codec_flags(p_codec)
-    p_codec.set_defaults(func=cmd_codec)
+    codec_sub = p_codec.add_subparsers(dest="mode", required=True)
+    p_enc = codec_sub.add_parser("encode", help="compress an image into a frame container")
+    p_enc.add_argument("--image", required=True)
+    p_enc.add_argument("--out", required=True)
+    p_enc.add_argument("--gamma", type=float,
+                       help="compression ratio; triggers rate control")
+    p_enc.add_argument("--refine-dir",
+                       help="directory of raw frames for model refinement")
+    p_enc.add_argument("--refine-fraction", default="1/6",
+                       help="fraction of frames used for refinement")
+    _codec_flags(p_enc)
+    p_enc.set_defaults(func=cmd_encode)
+    p_dec = codec_sub.add_parser("decode", help="reconstruct an image from a frame container")
+    p_dec.add_argument("--frame", required=True)
+    p_dec.add_argument("--out", required=True)
+    p_dec.set_defaults(func=cmd_decode)
 
     p_align = sub.add_parser("align", help="align one image to a target's style")
     p_align.add_argument("--source", required=True)
@@ -176,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="full plan/compress/align/score run")
     p_sim.add_argument("--scenario", required=True)
-    p_sim.add_argument("--seed", type=int, required=True,
-                       help="recorded in manifest.json; changes no other output")
+    p_sim.add_argument("--seed", type=int, help=SEED_HELP)
     p_sim.add_argument("--outdir", required=True)
     p_sim.add_argument("--alpha", type=float, default=0.0)
     p_sim.add_argument("--ratio-override", type=float, default=None)
@@ -193,11 +199,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors already
         return int(exc.code or 0)
     try:
-        if args.command == "codec":
-            if args.mode == "encode" and not args.image:
-                raise ValidationError("codec encode needs --image")
-            if args.mode == "decode" and not args.frame:
-                raise ValidationError("codec decode needs --frame")
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,8 +61,8 @@ class CodecConfig:
     rate_tolerance: float = 0.05
 
     def __post_init__(self):
-        if self.block_size < 1:
-            raise ValidationError("block_size must be >= 1")
+        if not (1 <= self.block_size <= 255):  # the frame container stores it in one byte
+            raise ValidationError(f"block_size must lie in [1, 255], got {self.block_size}")
         if not (0 < self.quant_step < math.inf):
             raise ValidationError("quant_step must be positive and finite")
         if not (0 <= self.rate_tolerance < math.inf):
@@ -77,8 +77,7 @@ class EntropyModel:
     returns a new instance.
     """
 
-    def __init__(self, freq: np.ndarray, radius: int, model_id: str,
-                 trained_on: int = 0):
+    def __init__(self, freq: np.ndarray, radius: int, model_id: str):
         freq = np.asarray(freq, dtype=float)
         if radius < 1 or radius > 32767:
             raise ValidationError("radius must lie in [1, 32767]")
@@ -91,7 +90,6 @@ class EntropyModel:
         self.freq = freq
         self.radius = radius
         self.model_id = model_id
-        self.trained_on = trained_on
         self._log2_prob = np.log2(freq) - math.log2(freq.sum())
 
     @classmethod
@@ -99,21 +97,7 @@ class EntropyModel:
         """Data-free prior: pseudo-counts ((radius+1) / (1+|s|)) ** 3."""
         symbols = np.abs(np.arange(-radius, radius + 1))
         freq = ((radius + 1.0) / (1.0 + symbols)) ** GENERIC_DECAY_POWER
-        return cls(freq, radius, model_id=f"generic-r{radius}", trained_on=0)
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray, radius: int, model_id: str,
-                    trained_on: int) -> "EntropyModel":
-        """Empirical counts plus add-one smoothing."""
-        counts = np.asarray(counts, dtype=float)
-        if counts.shape != (2 * radius + 1,):
-            raise ValidationError("count table size must match the radius")
-        if np.any(counts < 0):
-            raise ValidationError("counts must be non-negative")
-        return cls(counts + SMOOTHING, radius, model_id, trained_on)
-
-    def probabilities(self) -> np.ndarray:
-        return self.freq / self.freq.sum()
+        return cls(freq, radius, model_id=f"generic-r{radius}")
 
     def clip_symbols(self, symbols: np.ndarray) -> np.ndarray:
         return np.clip(symbols, -self.radius, self.radius)
@@ -304,8 +288,9 @@ def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
                  cfg: CodecConfig) -> EntropyModel:
     """Re-estimate symbol frequencies from the quantized coefficients of raw frames.
 
-    Returns a new model over the same alphabet; the input model is untouched
-    and can keep serving concurrent encoders.
+    Returns a new model over the same alphabet, its counts plus add-one
+    smoothing; the input model is untouched and can keep serving concurrent
+    encoders.
     """
     if not raw_frames:
         raise ValidationError("refinement needs at least one raw frame")
@@ -316,10 +301,8 @@ def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
         q = np.round(coeffs / cfg.quant_step).astype(np.int64)
         symbols = em.clip_symbols(q) + em.radius
         counts += np.bincount(symbols.ravel(), minlength=2 * em.radius + 1)
-    return EntropyModel.from_counts(
-        counts, em.radius,
-        model_id=f"refined-n{len(raw_frames)}-q{cfg.quant_step:g}",
-        trained_on=len(raw_frames))
+    return EntropyModel(counts + SMOOTHING, em.radius,
+                        model_id=f"refined-n{len(raw_frames)}-q{cfg.quant_step:g}")
 
 
 def serialize_frame(frame: EncodedFrame) -> bytes:
@@ -332,9 +315,6 @@ def serialize_frame(frame: EncodedFrame) -> bytes:
     if len(model_id) > 255:
         raise ValidationError("model_id longer than 255 bytes")
     pad_h, pad_w = q.shape[:2]
-    if frame.block_size > 255:
-        raise ValidationError(
-            f"block size {frame.block_size} exceeds the container's limit of 255")
     if max(pad_h, pad_w) > 65535:
         raise ValidationError(
             f"padded image {pad_h}x{pad_w} exceeds the container's limit of 65535 per side")

@@ -123,25 +123,23 @@ def _ms_ssim_single(x: np.ndarray, y: np.ndarray, scales: int) -> float:
     return value
 
 
-def ms_ssim(x: np.ndarray, y: np.ndarray, scales: int | None = None) -> float:
+def ms_ssim(x: np.ndarray, y: np.ndarray) -> float:
     """Multi-scale structural similarity in [0, 1]; 1.0 for identical inputs.
 
-    Color images are scored per channel and averaged.
+    Runs as many scales as the image supports, at most five.  Color images
+    are scored per channel and averaged.
     """
     a, b = _check_pair(x, y)
     feasible = feasible_scales(a.shape[0], a.shape[1])
     if feasible < 1:
         raise ValidationError(
             f"images {a.shape[:2]} too small for one {SSIM_WINDOW}x{SSIM_WINDOW} window scale")
-    if scales is None:
-        scales = min(len(MS_SSIM_WEIGHTS), feasible)
-        if scales < len(MS_SSIM_WEIGHTS):
-            warnings.warn(
-                f"image {a.shape[:2]} supports only {scales} of "
-                f"{len(MS_SSIM_WEIGHTS)} scales; weights renormalized",
-                stacklevel=2)
-    elif scales < 1 or scales > feasible:
-        raise ValidationError(f"requested {scales} scales, feasible range is 1..{feasible}")
+    scales = min(len(MS_SSIM_WEIGHTS), feasible)
+    if scales < len(MS_SSIM_WEIGHTS):
+        warnings.warn(
+            f"image {a.shape[:2]} supports only {scales} of "
+            f"{len(MS_SSIM_WEIGHTS)} scales; weights renormalized",
+            stacklevel=2)
     if a.ndim == 2:
         return _ms_ssim_single(a, b, scales)
     vals = [_ms_ssim_single(a[:, :, c], b[:, :, c], scales) for c in range(a.shape[2])]

@@ -86,24 +86,12 @@ class SolverConfig:
     seed: int = 0
 
 
-def transmission_delay(ratio: float, volume_bits: float, rate_bps: float) -> float:
-    """Seconds to move ``ratio * volume_bits`` at ``rate_bps``."""
-    if not (0 < ratio <= 1):
-        raise ValidationError("compression ratio must lie in (0, 1]")
-    if volume_bits < 0:
-        raise ValidationError("data volume must be non-negative")
-    if rate_bps <= 0:
-        raise ValidationError("transmission rate must be positive")
-    return ratio * volume_bits / rate_bps
-
-
 def compression_lower_bound(distance_m: float, beta: float,
-                            distance_scale_m: float,
-                            floor: float = GAMMA_MIN) -> float:
+                            distance_scale_m: float) -> float:
     """Smallest admissible compression ratio for a link of the given length.
 
     The proximity-quality constraint demands ``ratio >= beta * exp(-d / scale)``;
-    a positive floor keeps the result in (0, 1] even for distant pairs.
+    the floor ``GAMMA_MIN`` keeps the result in (0, 1] even for distant pairs.
     """
     if distance_m < 0:
         raise ValidationError("distance must be non-negative")
@@ -111,15 +99,12 @@ def compression_lower_bound(distance_m: float, beta: float,
         raise ValidationError("beta must lie in (0, 1]")
     if distance_scale_m <= 0:
         raise ValidationError("distance_scale_m must be positive")
-    if not (0 < floor <= 1):
-        raise ValidationError("floor must lie in (0, 1]")
-    return float(_ratio_floor(distance_m, beta, distance_scale_m, floor))
+    return float(_ratio_floor(distance_m, beta, distance_scale_m))
 
 
-def _ratio_floor(distance_m, beta: float, distance_scale_m: float,
-                 floor: float = GAMMA_MIN):
+def _ratio_floor(distance_m, beta: float, distance_scale_m: float):
     """``compression_lower_bound`` without checks, for a distance or an array."""
-    return np.maximum(beta * np.exp(-distance_m / distance_scale_m), floor)
+    return np.maximum(beta * np.exp(-distance_m / distance_scale_m), GAMMA_MIN)
 
 
 def average_delay(plan: CommPlan) -> float:
@@ -296,16 +281,16 @@ def exhaustive_optimum(scenario: Scenario) -> CommPlan:
     return _plan_from_selection(scenario, candidates, selection[::-1])
 
 
-def validate_plan(plan: CommPlan, scenario: Scenario,
-                  rel_tol: float = 1e-9) -> list[str]:
+def validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
     """Independently re-derive every constraint and report violations.
 
     Capacities, distances and ratio floors of the selected links are
     recomputed from the scenario rather than trusted from the plan.  Returns
     a list of human-readable violation strings; an empty list means the plan
-    is valid.  ``rel_tol`` absorbs float round-off in the exponential bound
-    and the rate cap.
+    is valid.  A relative tolerance of 1e-9 absorbs float round-off in the
+    exponential bound and the rate cap.
     """
+    rel_tol = 1e-9
     issues: list[str] = []
     n = len(scenario.nodes)
     g = plan.link_matrix

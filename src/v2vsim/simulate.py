@@ -92,7 +92,6 @@ def _plan_links(plan: CommPlan, scenario: Scenario) -> list[PlanLink]:
 class RunManifest:
     """Everything needed to reproduce a run byte-for-byte."""
 
-    seed: int
     scenario_sha256: str
     codec: dict
     align_alpha: float
@@ -112,12 +111,11 @@ class SimulationResult:
     links: list[LinkRecord]
 
 
-def manifest_for(scenario_text: str, seed: int, codec_cfg: CodecConfig,
+def manifest_for(scenario_text: str, codec_cfg: CodecConfig,
                  align_alpha: float, ratio_override: float | None = None,
                  scenario_path: str = "") -> RunManifest:
     digest = hashlib.sha256(scenario_text.encode("utf-8")).hexdigest()
     return RunManifest(
-        seed=seed,
         scenario_sha256=digest,
         codec=asdict(codec_cfg),
         align_alpha=align_alpha,

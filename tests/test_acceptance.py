@@ -18,8 +18,9 @@ from v2vsim.metrics import ms_ssim, psnr
 from v2vsim.planner import exhaustive_optimum, optimize, validate_plan
 from v2vsim.scenario_io import format_scenario
 from v2vsim.simulate import manifest_for, simulate, write_outputs
-from v2vsim.synth import (codec_fixture_images, gradient_image, random_scenario,
-                          shifted_domain_pair, shifting_sequence, sine_image)
+from v2vsim.synth import random_scenario, shifting_sequence, sine_image
+
+from images import codec_fixture_images, gradient_image, shifted_domain_pair
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -205,7 +206,7 @@ def test_criterion_8_simulation_determinism(tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = simulate(scenario, images, CodecConfig(), align_alpha=0.05)
-        manifest = manifest_for(format_scenario(scenario), 31, CodecConfig(), 0.05)
+        manifest = manifest_for(format_scenario(scenario), CodecConfig(), 0.05)
         outdir = tmp_path / run
         write_outputs(result, scenario, outdir, manifest)
         dirs.append(outdir)

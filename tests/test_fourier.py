@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from v2vsim.errors import ImageFormatError, ValidationError
 from v2vsim.fourier import Spectrum, _low_band, align, dft2, domain_gap, idft2
 from v2vsim.image_io import read_image, write_image
-from v2vsim.synth import shifted_domain_pair
+
+from images import shifted_domain_pair
 
 
 def rms(a, b):

@@ -26,7 +26,9 @@ from v2vsim.codec import (QUANT_STEP_GRID, CodecConfig, EntropyModel,
 from v2vsim.errors import ImageFormatError, ParseError, ValidationError
 from v2vsim.image_io import read_image, write_image
 from v2vsim.scenario_io import format_scenario, parse_scenario_document
-from v2vsim.synth import gradient_image, random_scenario, sine_image
+from v2vsim.synth import random_scenario, sine_image
+
+from images import gradient_image
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
 

@@ -17,31 +17,9 @@ from v2vsim.errors import InfeasibleError, SizeError, ValidationError
 from v2vsim.planner import (CommPlan, _candidates, _check_feasible,
                             _plan_from_selection, average_delay,
                             compression_lower_bound,
-                            exhaustive_optimum, optimize, transmission_delay,
+                            exhaustive_optimum, optimize,
                             validate_plan)
 from v2vsim.synth import random_scenario
-
-
-class TestTransmissionDelay:
-    def test_direct_substitution(self):
-        assert transmission_delay(0.5, 8e6, 4e6) == 1.0
-
-    def test_empty_payload(self):
-        assert transmission_delay(1.0, 0.0, 1e6) == 0.0
-
-    def test_arithmetic_case(self):
-        # 0.3 * 12.8e6 / 5.3e6
-        assert transmission_delay(0.3, 12.8e6, 5.3e6) == pytest.approx(
-            0.7245283018867924, rel=1e-15)
-
-    def test_zero_rate_rejected(self):
-        with pytest.raises(ValidationError):
-            transmission_delay(0.5, 1e6, 0.0)
-
-    @given(ratio=st.floats(0.01, 1.0), volume=st.floats(0.0, 1e9),
-           rate=st.floats(1.0, 1e9))
-    def test_exact_formula(self, ratio, volume, rate):
-        assert transmission_delay(ratio, volume, rate) == ratio * volume / rate
 
 
 class TestCompressionLowerBound:
@@ -117,8 +95,7 @@ class TestOptimize:
         lb = compression_lower_bound(dist, 0.9, 100.0)
         assert plan.compression[1, 0] == pytest.approx(lb, rel=1e-12)
         caps = capacity_matrix(two_node_scenario)
-        assert plan.delays[1, 0] == pytest.approx(
-            transmission_delay(lb, 8e6, caps[1, 0]), rel=1e-12)
+        assert plan.delays[1, 0] == pytest.approx(lb * 8e6 / caps[1, 0], rel=1e-12)
 
     def test_symmetric_collaborators_both_selected(self, symmetric_three_node):
         plan = optimize(symmetric_three_node)

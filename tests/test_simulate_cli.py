@@ -24,7 +24,9 @@ from v2vsim.planner import CommPlan, optimize, validate_plan
 from v2vsim.scenario_io import format_scenario
 from v2vsim.simulate import (LINKS_HEADER, PLAN_CSV_HEADER, REPORT_HEADER, _fmt,
                              manifest_for, plan_matrix_report, simulate, write_outputs)
-from v2vsim.synth import gradient_image, sine_image
+from v2vsim.synth import sine_image
+
+from images import gradient_image
 
 
 def frame_container(channels=1, block=8, height=16, width=16, pad_h=16,
@@ -84,8 +86,8 @@ class TestSimulate:
         result = quiet_simulate(s, {0: gradient_image(), 1: img},
                                 CodecConfig(), align_alpha=0.1)
         (record,) = result.links
-        i = s.index_of(record.src)
-        j = s.index_of(record.dst)
+        ids = [node.id for node in s.nodes]
+        i, j = ids.index(record.src), ids.index(record.dst)
         assert record.ratio == result.plan.compression[i, j]
 
     def test_symmetric_links_equal_reports(self):
@@ -156,7 +158,7 @@ class TestSimulate:
         outputs = []
         for run in ("a", "b"):
             result = quiet_simulate(s, images, CodecConfig(), align_alpha=0.05)
-            manifest = manifest_for(format_scenario(s), 21, CodecConfig(), 0.05)
+            manifest = manifest_for(format_scenario(s), CodecConfig(), 0.05)
             outdir = tmp_path / run
             write_outputs(result, s, outdir, manifest)
             outputs.append(outdir)
@@ -170,7 +172,7 @@ class TestSimulate:
         s = two_node(float(img.size * 8))
         result = quiet_simulate(s, {0: gradient_image(), 1: img},
                                 CodecConfig(), align_alpha=0.0)
-        manifest = manifest_for(format_scenario(s), 5, CodecConfig(), 0.0)
+        manifest = manifest_for(format_scenario(s), CodecConfig(), 0.0)
         write_outputs(result, s, tmp_path, manifest)
         documented = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
         for name, header in (("report.csv", REPORT_HEADER), ("links.csv", LINKS_HEADER),
@@ -319,16 +321,35 @@ class TestCli:
         assert not (scenario_dir / "o").exists()
 
     @pytest.mark.parametrize("argv", [
-        ["codec", "encode", "--out", "f.vcq"],
-        ["simulate", "--scenario", "s.scn", "--seed", "1", "--outdir", "o"],
+        ["codec", "encode", "--image", "i.pgm", "--out", "f.vcq"],
+        ["simulate", "--scenario", "s.scn", "--outdir", "o"],
     ])
     def test_codec_flag_defaults_are_the_dataclass_defaults(self, argv):
         assert _codec_config(build_parser().parse_args(argv)) == CodecConfig()
 
-    def test_plan_requires_seed(self, scenario_dir, capsys):
-        rc = main(["plan", "--scenario", str(scenario_dir / "scene.scn")])
-        capsys.readouterr()
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_seed_changes_no_byte(self, scenario_dir, command):
+        # the planner is exact; --seed still parses so older command lines run
+        scene = str(scenario_dir / "scene.scn")
+        assert main([command, "--scenario", scene, "--outdir", str(scenario_dir / "a")]) == 0
+        assert main([command, "--scenario", scene, "--seed", "7",
+                     "--outdir", str(scenario_dir / "b")]) == 0
+        names = sorted(p.name for p in (scenario_dir / "a").iterdir())
+        assert names == sorted(p.name for p in (scenario_dir / "b").iterdir())
+        for name in names:
+            assert ((scenario_dir / "a" / name).read_bytes()
+                    == (scenario_dir / "b" / name).read_bytes()), name
+        if command == "simulate":
+            assert "seed" not in json.loads((scenario_dir / "a" / "manifest.json").read_text())
+
+    def test_codec_decode_takes_no_codec_flags(self, tmp_path, capsys):
+        # the container decides block size, step and model
+        (tmp_path / "f.bin").write_bytes(frame_container())
+        rc = main(["codec", "decode", "--frame", str(tmp_path / "f.bin"),
+                   "--out", str(tmp_path / "r.pgm"), "--block-size", "16"])
         assert rc == 2
+        assert "--block-size" in capsys.readouterr().err
+        assert not (tmp_path / "r.pgm").exists()
 
     def test_validation_error_exits_2(self, tmp_path):
         bad = tmp_path / "bad.scn"
@@ -515,7 +536,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, value", [
         ("--alpha", "nan"), ("--alpha", "-0.5"),
-        ("--rate-tolerance", "nan"), ("--rate-tolerance", "inf")])
+        ("--rate-tolerance", "nan"), ("--rate-tolerance", "inf"),
+        ("--block-size", "1000000")])
     def test_simulate_rejects_bad_parameter_before_writing(self, scenario_dir,
                                                            capsys, flag, value):
         outdir = scenario_dir / "bad"
@@ -538,7 +560,8 @@ class TestCli:
         ((16, 16), ["--block-size", "300"]),  # block size is a u8 in the container
         ((2, 70000), []),  # padded sides are u16
         ((16, 16), ["--refine-fraction", "abc"]),
-        ((16, 16), ["--refine-fraction", "1/0"])])
+        ((16, 16), ["--refine-fraction", "1/0"]),
+        ((16, 16), ["--block-size", "1000000"])])  # rejected before any padding
     def test_codec_encode_bad_input_exits_2(self, tmp_path, capsys, shape, flags):
         write_image(tmp_path / "in.pgm", np.zeros(shape))
         out = tmp_path / "f.vcq"
@@ -578,8 +601,8 @@ class TestCli:
         for name in ("plan.txt", "plan.csv"):
             assert ((scenario_dir / "plan" / name).read_bytes()
                     == (scenario_dir / "defaults" / name).read_bytes())
-        args = build_parser().parse_args(["plan", "--scenario", scene, "--seed", "1"])
-        assert vars(args) == {"command": "plan", "scenario": scene, "seed": 1,
+        args = build_parser().parse_args(["plan", "--scenario", scene])
+        assert vars(args) == {"command": "plan", "scenario": scene, "seed": None,
                               "outdir": "plan_out", "func": cmd_plan}
 
 
