@@ -83,8 +83,8 @@ def _refined_model(args, cfg: CodecConfig) -> EntropyModel:
                 f"bad refine fraction {args.refine_fraction!r}") from None
         if not (0 < fraction <= 1):
             raise ValidationError("refine fraction must lie in (0, 1]")
-        stride = max(1, round(1 / fraction))
-        subset = [read_image(p) for p in frames[::stride]]
+        count = max(1, round(fraction * len(frames)))  # evenly spaced from the first
+        subset = [read_image(frames[i * len(frames) // count]) for i in range(count)]
         model = refine_model(model, subset, cfg)
     return model
 
@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--refine-dir",
                        help="directory of raw frames for model refinement")
     p_enc.add_argument("--refine-fraction", default="1/6",
-                       help="fraction of frames used for refinement")
+                       help="fraction of the frames used, rounded to a count >= 1")
     _codec_flags(p_enc)
     p_enc.set_defaults(func=cmd_encode)
     p_dec = codec_sub.add_parser("decode", help="reconstruct an image from a frame container")

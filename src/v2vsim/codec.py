@@ -1,8 +1,8 @@
 """Block-transform codec with an adaptive rate-distortion contract.
 
-The coding chain is a blockwise orthonormal cosine transform (DCT-II, applied
-to every block as the matrix product ``C @ block @ C.T`` in NumPy) followed
-by uniform scalar quantization.  Bit counts are information-theoretic
+The coding chain is a blockwise orthonormal cosine transform (DCT-II: the
+product ``C @ block @ C.T`` for every block, as two BLAS gemms in the image's
+layout) then uniform scalar quantization.  Bit counts are information-theoretic
 estimates, the sum of ``-log2 p(symbol)`` under a symbol-frequency entropy
 model, not an arithmetic-coded bitstream.  Two model flavors exist:
 
@@ -104,9 +104,8 @@ class EntropyModel:
 
     def bits_for_symbols(self, symbols: np.ndarray) -> float:
         """Estimated bits: sum of -log2 p over (alphabet-clipped) symbols."""
-        idx = self.clip_symbols(np.asarray(symbols)).astype(np.int64, copy=False)
-        idx += self.radius  # in place: clipping already made a copy
-        return float(-self._log2_prob[idx.ravel()].sum())
+        idx = np.asarray(symbols).astype(np.int64, copy=False) + self.radius
+        return float(-np.take(self._log2_prob, idx, mode="clip").sum())
 
 
 @dataclass(frozen=True)
@@ -140,14 +139,18 @@ def _dct_basis(block: int) -> np.ndarray:
 
 
 def _blockwise(x: np.ndarray, block: int, forward: bool) -> np.ndarray:
-    """Block DCT (``C @ tile @ C.T``) or its inverse (``C.T @ tile @ C``) of
-    every block x block tile over the first two axes; a trailing channel axis
-    is kept.  All tiles of all channels go through one batched matmul."""
+    """Block DCT (``(C @ tile) @ C.T``) or its inverse (``(C.T @ tile) @ C``)
+    of every block x block tile over the first two axes; a trailing channel
+    axis is kept.  ``C`` times each block row contracts the row index, then
+    the (-1, block * channels) view times ``C.T`` (``kron(C.T, I)`` for
+    interleaved channels) the column index: the per-tile sums in the same
+    order, kron's zeros adding exactly (fma(0, x, acc) = acc for finite x)."""
     h, w = x.shape[:2]
+    ch = 1 if x.ndim == 2 else x.shape[2]
     c = _dct_basis(block) if forward else _dct_basis(block).T
-    # (rows, i, cols, j, channel) -> (channel, rows, cols, i, j)
-    tiles = x.reshape(h // block, block, w // block, block, -1).transpose(4, 0, 2, 1, 3)
-    return (c @ tiles @ c.T).transpose(1, 3, 2, 4, 0).reshape(x.shape)
+    rows = c @ x.reshape(h // block, block, w * ch)
+    right = c.T if ch == 1 else np.kron(c.T, np.eye(ch))
+    return (rows.reshape(-1, block * ch) @ right).reshape(x.shape)
 
 
 def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +162,8 @@ def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
     arr = check_image(arr)
     h, w = arr.shape[:2]
     pad = ((0, (-h) % block), (0, (-w) % block)) + ((0, 0),) * (arr.ndim - 2)
-    return arr, _blockwise(np.pad(arr, pad, mode="edge"), block, forward=True)
+    padded = np.pad(arr, pad, mode="edge") if h % block or w % block else arr
+    return arr, _blockwise(padded, block, forward=True)
 
 
 def _check_step_fits(coeffs: np.ndarray, step: float) -> None:

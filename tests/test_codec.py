@@ -44,6 +44,22 @@ def rgb_fixture() -> np.ndarray:
     return np.stack(codec_fixture_images(), axis=-1)
 
 
+def reference_blockwise(x: np.ndarray, block: int, forward: bool) -> np.ndarray:
+    """The block transform as one batched per-tile matmul: every tile of every
+    channel moved to the end, ``(c @ tile) @ c.T``, then transposed back."""
+    h, w = x.shape[:2]
+    c = codec._dct_basis(block) if forward else codec._dct_basis(block).T
+    # (rows, i, cols, j, channel) -> (channel, rows, cols, i, j)
+    tiles = x.reshape(h // block, block, w // block, block, -1).transpose(4, 0, 2, 1, 3)
+    return (c @ tiles @ c.T).transpose(1, 3, 2, 4, 0).reshape(x.shape)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+
+
 class TestEncodeDecode:
     def test_constant_image_dc_only(self, generic):
         img = np.full((16, 16), 0.5)
@@ -162,6 +178,53 @@ class TestEncodeDecode:
         b = encode(img, CodecConfig(quant_step=0.1), generic)
         assert np.array_equal(a.qcoeffs, b.qcoeffs)
         assert a.bit_count == b.bit_count
+
+
+class TestBlockwise:
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_bit_identical_to_per_tile_reference(self, block, channels):
+        rng = np.random.default_rng(block * 10 + channels)
+        shapes = [(6 * block, 5 * block), (192 // block * block, 192 // block * block)]
+        for shape in shapes:
+            shape = shape if channels == 1 else (*shape, channels)
+            image = rng.random(shape)
+            # inverse inputs as decode makes them: integer symbols times a step
+            coeffs = np.round(rng.normal(scale=40.0, size=shape)) * 0.0371
+            for forward, x in ((True, image), (False, coeffs)):
+                for view in (x, x[::-1], np.asfortranarray(x)):
+                    got = codec._blockwise(view, block, forward)
+                    assert same_bits(got, reference_blockwise(view, block, forward)), (
+                        shape, forward, view.flags.c_contiguous)
+
+    def test_divisible_sides_skip_padding_with_same_coefficients(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        cases = []  # (image, coefficients of its zero-width edge-padded copy)
+        for shape in ((16, 24), (16, 24, 3), (24, 8)):
+            img = rng.random(shape)
+            pad = ((0, 0),) * img.ndim
+            for x in (img, np.asfortranarray(img), img[::-1]):
+                cases.append((x, reference_blockwise(np.pad(x, pad, mode="edge"), 8, True)))
+
+        def no_pad(*args, **kwargs):
+            raise AssertionError("np.pad called although the sides divide the block")
+
+        monkeypatch.setattr(np, "pad", no_pad)
+        for x, padded in cases:
+            arr, coeffs = codec._transform(x, 8)
+            assert same_bits(coeffs, padded)
+            assert np.array_equal(arr, x)
+
+    @pytest.mark.parametrize("shape", [(16, 24), (16, 24, 3), (13, 21, 3)])
+    def test_caller_array_untouched_and_not_aliased(self, generic, shape):
+        img = np.random.default_rng(6).random(shape)
+        before = img.copy()
+        frame = encode(img, CodecConfig(quant_step=0.05), generic)
+        _, chosen = rate_control(img, 0.3, generic, CodecConfig())
+        _, coeffs = codec._transform(img, 8)
+        assert same_bits(img, before)
+        for out in (frame.qcoeffs, chosen.qcoeffs, coeffs):
+            assert not np.shares_memory(out, img)
 
 
 class TestRateControl:
@@ -388,6 +451,21 @@ class TestEntropyModel:
         # a flat frame gives every symbol but 0 a count of zero
         trained = refine_model(generic, [np.zeros((8, 8))], CodecConfig())
         assert np.all(trained.freq >= 1.0)
+
+    def test_bits_equal_clipped_index_sum(self, generic):
+        # the pricing gathers the clipped symbols' log-probabilities in C order
+        # and sums them pairwise, as clipping, indexing and summing does
+        r = generic.radius
+        rng = np.random.default_rng(8)
+        cases = [rng.integers(-10**6, 10**6, size=(40, 24, 3)),
+                 rng.integers(-2 * r, 2 * r, size=(64, 48)),
+                 np.array([-32768, -r - 1, -r, 0, r, r + 1, 32767], dtype=np.int16),
+                 encode(rgb_fixture(), CodecConfig(quant_step=0.02), generic).qcoeffs]
+        cases += [np.asfortranarray(cases[0]), cases[1][::-1, ::2]]
+        for q in cases:
+            idx = np.clip(q, -r, r).astype(np.int64) + r
+            expected = float(-generic._log2_prob[idx.ravel()].sum())
+            assert generic.bits_for_symbols(q) == expected
 
     def test_bad_tables_rejected(self):
         with pytest.raises(ValidationError):

@@ -514,6 +514,21 @@ class TestCli:
                      "--refine-fraction", "1/6"]) == 0
         assert out_refined.exists() and out_plain.exists()
 
+    @pytest.mark.parametrize("fraction, count", [
+        ("0.7", 7), ("1/6", 2), ("0.4", 4), ("1", 10), ("0.01", 1)])
+    def test_refine_fraction_is_the_share_of_frames(self, tmp_path, fraction, count):
+        from v2vsim.codec import deserialize_frame
+        from v2vsim.synth import shifting_sequence
+        for k, frame in enumerate(shifting_sequence(num_frames=10)):
+            write_image(tmp_path / f"f{k:03d}.pgm", frame)
+        out = tmp_path / "refined.bin"
+        assert main(["codec", "encode", "--image", str(tmp_path / "f009.pgm"),
+                     "--out", str(out), "--quant-step", "0.01",
+                     "--refine-dir", str(tmp_path),
+                     "--refine-fraction", fraction]) == 0
+        model_id = deserialize_frame(out.read_bytes()).model_id
+        assert model_id == f"refined-n{count}-q0.01"
+
     def test_align_command(self, scenario_dir):
         out = scenario_dir / "aligned.pgm"
         rc = main(["align", "--source", str(scenario_dir / "n1.pgm"),
