@@ -1,7 +1,7 @@
 """Block-transform codec with an adaptive rate-distortion contract.
 
 The coding chain is a blockwise orthonormal cosine transform (DCT-II: the
-product ``C @ block @ C.T`` for every block, as two BLAS gemms in the image's
+product ``C @ block @ C.T`` for every block, as two matmuls in the image's
 layout) then uniform scalar quantization.  Bit counts are information-theoretic
 estimates, the sum of ``-log2 p(symbol)`` under a symbol-frequency entropy
 model, not an arithmetic-coded bitstream.  Two model flavors exist:

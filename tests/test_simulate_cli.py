@@ -15,7 +15,8 @@ import pytest
 import v2vsim
 from v2vsim.channel import ChannelParams, Scenario, VehicleNode
 from v2vsim.cli import _codec_config, build_parser, cmd_plan, main
-from v2vsim.codec import CodecConfig, EntropyModel, decode, rate_control
+from v2vsim.codec import (CodecConfig, EntropyModel, decode, deserialize_frame,
+                           rate_control)
 from v2vsim.errors import ValidationError
 from v2vsim.fourier import align
 from v2vsim.image_io import read_image, write_image
@@ -517,7 +518,6 @@ class TestCli:
     @pytest.mark.parametrize("fraction, count", [
         ("0.7", 7), ("1/6", 2), ("0.4", 4), ("1", 10), ("0.01", 1)])
     def test_refine_fraction_is_the_share_of_frames(self, tmp_path, fraction, count):
-        from v2vsim.codec import deserialize_frame
         from v2vsim.synth import shifting_sequence
         for k, frame in enumerate(shifting_sequence(num_frames=10)):
             write_image(tmp_path / f"f{k:03d}.pgm", frame)
