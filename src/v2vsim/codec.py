@@ -15,15 +15,17 @@ model, not an arithmetic-coded bitstream.  Two model flavors exist:
 The planner's compression ratio maps to a bit budget via ``rate_control``:
 ``target = ratio * 8 bits per pixel per channel``, met by a binary search
 over the quantization-step grid.  The transform does not depend on the step,
-so ``rate_control`` transforms the image once and sorts its coefficients once;
-each step it tries is priced from the symbol counts of that sorted copy, and
-only the step it returns is quantized and priced in full.
+so ``rate_control`` transforms the image once and sorts, once, only the
+coefficients with ``|c| > QUANT_STEP_GRID[0] / 2``: every other one is symbol 0
+at every grid step.  Each step it tries is priced from the symbol counts of
+that sorted copy, over the symbols it occupies, plus symbol 0 for each
+coefficient left out; only the step it returns is quantized and priced in
+full.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import math
 import struct
 from dataclasses import dataclass
@@ -138,6 +140,19 @@ def _dct_basis(block: int) -> np.ndarray:
     return c
 
 
+@functools.cache
+def _right_factor(block: int, channels: int, forward: bool) -> np.ndarray:
+    """The read-only factor that contracts ``_blockwise``'s column index:
+    ``C.T`` (``C`` for the inverse), or its ``kron`` with the identity when
+    ``channels`` interleaved channels share each row."""
+    c = _dct_basis(block) if forward else _dct_basis(block).T
+    if channels == 1:
+        return c.T  # a view of the read-only basis
+    right = np.kron(c.T, np.eye(channels))
+    right.setflags(write=False)
+    return right
+
+
 def _blockwise(x: np.ndarray, block: int, forward: bool) -> np.ndarray:
     """Block DCT (``(C @ tile) @ C.T``) or its inverse (``(C.T @ tile) @ C``)
     of every block x block tile over the first two axes; a trailing channel
@@ -149,13 +164,14 @@ def _blockwise(x: np.ndarray, block: int, forward: bool) -> np.ndarray:
     ch = 1 if x.ndim == 2 else x.shape[2]
     c = _dct_basis(block) if forward else _dct_basis(block).T
     rows = c @ x.reshape(h // block, block, w * ch)
-    right = c.T if ch == 1 else np.kron(c.T, np.eye(ch))
-    return (rows.reshape(-1, block * ch) @ right).reshape(x.shape)
+    return (rows.reshape(-1, block * ch) @ _right_factor(block, ch, forward)).reshape(x.shape)
 
 
 def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
     """The checked image and its block-DCT coefficients, laid out like the
-    edge-padded image: (padH, padW) or (padH, padW, channels)."""
+    edge-padded image: (padH, padW) or (padH, padW, channels).  A finite image
+    can still overflow the transform; the caller checks the coefficients
+    (``_check_finite``) on the way it already reads them."""
     arr = np.asarray(img, dtype=float)
     if arr.size == 0:
         raise ValidationError("cannot encode a zero-sized image")
@@ -163,19 +179,32 @@ def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
     h, w = arr.shape[:2]
     pad = ((0, (-h) % block), (0, (-w) % block)) + ((0, 0),) * (arr.ndim - 2)
     padded = np.pad(arr, pad, mode="edge") if h % block or w % block else arr
-    return arr, _blockwise(padded, block, forward=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return arr, _blockwise(padded, block, forward=True)
+
+
+def _check_finite(extremes: np.ndarray) -> None:
+    """Reject a transform that overflowed: ``extremes`` (a maximum, or the
+    ends of a sorted copy) shows any NaN or infinite coefficient."""
+    if not np.isfinite(extremes).all():
+        raise ValidationError(
+            "the image's block transform overflows: its coefficients are not finite")
 
 
 def _check_step_fits(coeffs: np.ndarray, step: float) -> None:
-    """Reject a step so fine that ``coeffs / step`` leaves the int64 range."""
-    if np.abs(coeffs).max() >= 2.0 ** 62 * step:
+    """Reject an overflowed transform, and a step so fine that
+    ``coeffs / step`` leaves the int64 range."""
+    peak = np.abs(coeffs).max()  # NaN if any coefficient is
+    _check_finite(peak)
+    if peak >= 2.0 ** 62 * step:
         raise ValidationError(
             f"quant_step {step:g} is too fine: quantized coefficients overflow int64")
 
 
 def _quantize_and_price(arr: np.ndarray, coeffs: np.ndarray, step: float,
                         block: int, em: EntropyModel) -> EncodedFrame:
-    q = np.round(coeffs / step).astype(np.int64)
+    scaled = coeffs / step
+    q = np.rint(scaled, out=scaled).astype(np.int64)
     return EncodedFrame(qcoeffs=q, quant_step=step, model_id=em.model_id,
                         bit_count=em.bits_for_symbols(q),
                         height=arr.shape[0], width=arr.shape[1],
@@ -204,37 +233,47 @@ def decode(frame: EncodedFrame) -> np.ndarray:
     if not np.all(np.isfinite(rec)):
         raise ValidationError(
             f"reconstruction is not finite at quantization step {frame.quant_step}")
+    if q.shape[:2] == (frame.height, frame.width):  # nothing to crop: clip in place
+        return np.clip(rec, 0.0, 1.0, out=rec)
     return np.clip(rec[:frame.height, :frame.width], 0.0, 1.0)
 
 
-def _symbol_counts(ordered: np.ndarray, step: float, radius: int) -> np.ndarray:
+def _window_counts(ordered: np.ndarray, step: float,
+                   radius: int) -> tuple[int, np.ndarray]:
     """How often each symbol ``clip(rint(c / step), -radius, radius)`` occurs
-    among the ascending values ``ordered``; entry ``radius + s`` counts s.
+    among the ascending values ``ordered``, over the occupied window:
+    ``(low, counts)`` with ``counts[k]`` the count of symbol ``low + k``, for
+    the symbols from the smallest value's to the largest's; ``(0, [])`` for
+    no values.
 
     The symbol is non-decreasing in c, so symbol v starts at the first value
-    at or above ``(v - 1/2) * step``; only the symbols between those of the
-    smallest and the largest value need a search.  The division and the
-    threshold each round, so values within a relative 2**-40 of a threshold
-    (a few, unless they repeat) are quantized as encode does and placed by
-    their own symbol; ties at half-integers thus round as ``rint`` does.
+    at or above ``(v - 1/2) * step``; only the symbols inside the window need
+    a search.  The division and the threshold each round, so values within a
+    relative 2**-40 of a threshold (a few, unless they repeat) are quantized
+    as encode does and placed by their own symbol; ties at half-integers thus
+    round as ``rint`` does.
     """
+    if not ordered.size:
+        return 0, np.zeros(0, dtype=np.int64)
+
     def symbol(x):
         return np.clip(np.rint(x / step), -radius, radius)
 
-    low, high = (int(s) for s in symbol(ordered[[0, -1]]))
+    low, high = symbol(ordered[[0, -1]]).astype(np.int64)
     v = np.arange(low + 1, high + 1)
     t = (v - 0.5) * step
     band = np.abs(t) * 2.0 ** -40
-    lo = np.searchsorted(ordered, t - band)  # values below: symbol < v
-    hi = np.searchsorted(ordered, t + band)  # values from here: symbol >= v
-    width = hi - lo
-    skipped = np.cumsum(width) - width  # near values of the lower thresholds
-    near = ordered[np.arange(width.sum()) + np.repeat(lo - skipped, width)]
-    first = lo + np.searchsorted(symbol(near), v) - skipped
-    counts = np.zeros(2 * radius + 1, dtype=np.int64)
-    counts[low + radius:high + radius + 1] = np.diff(first, prepend=0,
-                                                     append=ordered.size)
-    return counts
+    first = np.searchsorted(ordered, t - band)  # values below: symbol < v
+    width = np.searchsorted(ordered, t + band) - first  # values from there on: symbol >= v
+    if width.any():
+        skipped = np.cumsum(width) - width  # near values of the lower thresholds
+        near = ordered[np.arange(width.sum()) + np.repeat(first - skipped, width)]
+        first += np.searchsorted(symbol(near), v) - skipped
+    counts = np.empty(v.size + 1, dtype=np.int64)
+    counts[:-1] = first
+    counts[-1] = ordered.size
+    counts[1:] -= first
+    return int(low), counts
 
 
 def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
@@ -242,15 +281,17 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
     """Pick a grid step whose bit estimate fits the ratio's budget.
 
     The budget is ``ratio * pixels * channels * 8`` bits with
-    ``rate_tolerance`` relative slack.  The image is transformed and its
-    coefficients sorted once; a binary search over the grid then prices each
-    step it tries from the symbol counts of the sorted copy, falling back to
-    encode's exact pricing only within ``GUARD_BAND`` of the budget, so each
-    step fits exactly when encode's bit count would fit.  The returned step
-    fits the budget and the next finer grid step (if any) does not, so it is
-    the finest feasible step whenever bit counts are non-increasing in the
-    step.  Only that step is quantized and priced in full, and its frame
-    equals ``encode`` at that step.
+    ``rate_tolerance`` relative slack.  The image is transformed once.  A
+    coefficient with ``|c| <= QUANT_STEP_GRID[0] / 2`` is symbol 0 at every
+    grid step, so only the others are sorted, once; a binary search over the
+    grid then prices each step it tries from the symbol counts of that sorted
+    copy over the symbols it occupies, plus symbol 0's price for each
+    coefficient left out, falling back to encode's exact pricing only within
+    ``GUARD_BAND`` of the budget, so each step fits exactly when encode's bit
+    count would fit.  The returned step fits the budget and the next finer
+    grid step (if any) does not, so it is the finest feasible step whenever
+    bit counts are non-increasing in the step.  Only that step is quantized
+    and priced in full, and its frame equals ``encode`` at that step.
     """
     if not (0 < ratio <= 1):
         raise ValidationError("ratio must lie in (0, 1]")
@@ -258,15 +299,24 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
     allowed = (1.0 + cfg.rate_tolerance) * ratio * (arr.size * 8)
 
     grid = QUANT_STEP_GRID
-    ordered = np.sort(coeffs, axis=None)
+    # |c / step| <= 1/2 rounds to 0 (ties to even) at every grid step; the
+    # comparisons keep NaN, so an overflowed transform sorts to an end
+    flat = coeffs.reshape(-1)
+    half = grid[0] / 2
+    ordered = flat[~((flat <= half) & (flat >= -half))]
+    ordered.sort()
+    if ordered.size:
+        _check_finite(ordered[[0, -1]])
+    zeros_log2p = (flat.size - ordered.size) * em._log2_prob[em.radius]
 
     @functools.cache
     def exact(idx: int) -> EncodedFrame:
         return _quantize_and_price(arr, coeffs, float(grid[idx]), cfg.block_size, em)
 
     def fits(idx: int) -> bool:
-        counts = _symbol_counts(ordered, float(grid[idx]), em.radius)
-        estimate = -float(counts @ em._log2_prob)
+        low, counts = _window_counts(ordered, float(grid[idx]), em.radius)
+        start = low + em.radius
+        estimate = -float(counts @ em._log2_prob[start:start + counts.size] + zeros_log2p)
         if abs(estimate - allowed) <= GUARD_BAND * allowed:
             return exact(idx).bit_count <= allowed
         return estimate <= allowed
@@ -312,7 +362,7 @@ def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
 def serialize_frame(frame: EncodedFrame) -> bytes:
     """Pack a frame into the versioned binary container (see docs/formats.md)."""
     q = frame.qcoeffs
-    if np.any(np.abs(q) > 32767):
+    if q.min() < -32767 or q.max() > 32767:
         raise ValidationError(
             "coefficients exceed the int16 wire range; use a coarser quant_step")
     model_id = frame.model_id.encode("utf-8")
@@ -322,15 +372,10 @@ def serialize_frame(frame: EncodedFrame) -> bytes:
     if max(pad_h, pad_w) > 65535:
         raise ValidationError(
             f"padded image {pad_h}x{pad_w} exceeds the container's limit of 65535 per side")
-    buf = io.BytesIO()
-    buf.write(FRAME_MAGIC)
-    buf.write(struct.pack("<BBBB", FRAME_VERSION, frame.channels,
-                          frame.block_size, len(model_id)))
-    buf.write(struct.pack("<HHHH", frame.height, frame.width, pad_h, pad_w))
-    buf.write(struct.pack("<d", frame.quant_step))
-    buf.write(model_id)
-    buf.write(q.astype("<i2").tobytes(order="C"))
-    return buf.getvalue()
+    header = struct.pack("<4sBBBBHHHHd", FRAME_MAGIC, FRAME_VERSION, frame.channels,
+                         frame.block_size, len(model_id), frame.height, frame.width,
+                         pad_h, pad_w, frame.quant_step)
+    return b"".join((header, model_id, q.astype("<i2", order="C")))
 
 
 def deserialize_frame(data: bytes, em: EntropyModel | None = None) -> EncodedFrame:

@@ -38,7 +38,9 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def mse(x: np.ndarray, y: np.ndarray) -> float:
     a, b = _check_pair(x, y)
-    return float(np.mean((a - b) ** 2))
+    diff = a - b
+    diff *= diff
+    return float(np.mean(diff))
 
 
 def psnr(x: np.ndarray, y: np.ndarray) -> float:

@@ -165,6 +165,19 @@ class TestEncodeDecode:
         with pytest.raises(ValidationError, match=field):
             CodecConfig(**{field: value})
 
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 16, 3), (13, 21)])
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_transform_overflow_rejected(self, generic, shape, value):
+        # a finite image whose block transform overflows: grey gives inf and
+        # NaN coefficients, RGB (kron's zeros times inf) NaN alone
+        img = np.full(shape, value)
+        with pytest.raises(ValidationError, match="not finite"):
+            encode(img, CodecConfig(), generic)
+        with pytest.raises(ValidationError, match="not finite"):
+            rate_control(img, 0.5, generic, CodecConfig())
+        with pytest.raises(ValidationError, match="not finite"):
+            refine_model(generic, [img], CodecConfig())
+
     def test_step_too_fine_for_int64_rejected(self, generic):
         # 1e-300 would overflow the int64 cast and wrap coefficients silently
         with pytest.raises(ValidationError, match="too fine"):
@@ -196,6 +209,20 @@ class TestBlockwise:
                     got = codec._blockwise(view, block, forward)
                     assert same_bits(got, reference_blockwise(view, block, forward)), (
                         shape, forward, view.flags.c_contiguous)
+
+    def test_column_factor_built_once_and_read_only(self, monkeypatch):
+        x = np.random.default_rng(7).random((16, 24, 3))
+        first = codec._blockwise(x, 8, True), codec._blockwise(x, 8, False)
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called again for a cached factor")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        for forward, before in zip((True, False), first):
+            assert same_bits(codec._blockwise(x, 8, forward), before)
+            assert same_bits(before, reference_blockwise(x, 8, forward))
+            for ch in (1, 3):
+                assert not codec._right_factor(8, ch, forward).flags.writeable
 
     def test_divisible_sides_skip_padding_with_same_coefficients(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -418,7 +445,7 @@ class TestCountedRateControl:
         expected = reference_rate_control(img, ratio, em, cfg)
 
         events = []
-        real_counts, real_price = codec._symbol_counts, codec._quantize_and_price
+        real_counts, real_price = codec._window_counts, codec._quantize_and_price
 
         def counts(ordered, step, radius):
             events.append(("count", step))
@@ -428,7 +455,7 @@ class TestCountedRateControl:
             events.append(("price", step))
             return real_price(arr, coeffs, step, block, em)
 
-        monkeypatch.setattr(codec, "_symbol_counts", counts)
+        monkeypatch.setattr(codec, "_window_counts", counts)
         monkeypatch.setattr(codec, "_quantize_and_price", price)
         got_step, frame = rate_control(img, ratio, em, cfg)
         monkeypatch.undo()
@@ -436,6 +463,58 @@ class TestCountedRateControl:
                               ("count", step), ("price", step)]
         assert got_step == expected[0]
         assert_same_frame(frame, expected[1])
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_flat_frames_equal_reference(self, generic, channels):
+        # black: every coefficient is 0 and none is sorted; mid-grey: only
+        # the DC coefficients are
+        shape = (24, 40) if channels == 1 else (24, 40, 3)
+        for value in (0.0, 0.5):
+            img = np.full(shape, value)
+            for ratio in (0.001, 0.01, 0.1, 0.5, 1.0):
+                for em in (generic, EntropyModel.generic(radius=64)):
+                    assert_same_rate_control(img, ratio, em, CodecConfig())
+
+    HALF = float(QUANT_STEP_GRID[0]) / 2  # the largest |c| left out of the sort
+
+    @pytest.mark.parametrize("value, symbol", [
+        (HALF, 0), (-HALF, 0),  # c / step = +-1/2 exactly: rint ties to 0
+        (math.nextafter(HALF, 0.0), 0), (math.nextafter(-HALF, 0.0), 0),
+        (math.nextafter(HALF, math.inf), 1), (math.nextafter(-HALF, -math.inf), -1)])
+    def test_coefficients_at_the_sort_threshold(self, generic, monkeypatch, value, symbol):
+        # coefficients planted at the finest step's rounding threshold, where
+        # leaving out a value that is not symbol 0 changes the chosen step
+        cfg = CodecConfig(rate_tolerance=0.0)
+        img = np.zeros((16, 32))
+        coeffs = np.zeros(img.shape)
+        coeffs[::4, ::4] = value
+        coeffs[1, 1] = 0.9  # one large coefficient, so the window is not all 0
+        monkeypatch.setattr(codec, "_transform", lambda x, block: (img, coeffs.copy()))
+        finest = codec._quantize_and_price(img, coeffs, float(QUANT_STEP_GRID[0]), 8, generic)
+        assert np.count_nonzero(finest.qcoeffs == symbol) == (32 if symbol else img.size - 1)
+        planted_as_zero = coeffs.copy()
+        planted_as_zero[::4, ::4] = 0.0
+        as_zero = codec._quantize_and_price(img, planted_as_zero,
+                                            float(QUANT_STEP_GRID[0]), 8, generic)
+        assert (finest.bit_count > as_zero.bit_count) == (symbol != 0)
+        # between the two prices: the finest step fits only if the planted
+        # values are all symbol 0
+        budget = (finest.bit_count + as_zero.bit_count) / 2 if symbol else 1.5 * finest.bit_count
+        ratio = budget / (img.size * 8)
+        step = assert_same_rate_control(img, ratio, generic, cfg)
+        assert (step == QUANT_STEP_GRID[0]) == (symbol == 0)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), channels=st.sampled_from([1, 3]),
+           h=st.integers(2, 40), w=st.integers(2, 40), scale=st.floats(1e-4, 1.0),
+           ratio=st.floats(0.01, 1.0), block=st.sampled_from([4, 8, 16]))
+    def test_small_scaled_images_equal_reference(self, generic, seed, channels, h, w,
+                                                 scale, ratio, block):
+        # dim images put most coefficients, or all of them, inside the band
+        # that is never sorted
+        shape = (h, w) if channels == 1 else (h, w, 3)
+        img = np.random.default_rng(seed).random(shape) * scale
+        assert_same_rate_control(img, ratio, generic, CodecConfig(block_size=block))
 
 
 class TestEntropyModel:
@@ -608,3 +687,24 @@ class TestSerialization:
         frame = encode(img, CodecConfig(quant_step=1e-7), generic)
         with pytest.raises(ValidationError):
             serialize_frame(frame)
+        # np.abs(-2**63) wraps to -2**63, so an |q| check let it through
+        for value in (-2 ** 63, -32768, 32768, 2 ** 63 - 1):
+            q = np.zeros((8, 8), dtype=np.int64)
+            q[0, 0] = value
+            with pytest.raises(ValidationError, match="int16 wire range"):
+                serialize_frame(EncodedFrame(q, 0.1, "generic-r2048", math.nan, 8, 8, 1, 8))
+        for value in (-32767, 32767):
+            q = np.zeros((8, 8), dtype=np.int64)
+            q[3, 5] = value
+            back = deserialize_frame(serialize_frame(
+                EncodedFrame(q, 0.1, "generic-r2048", math.nan, 8, 8, 1, 8)))
+            assert np.array_equal(back.qcoeffs, q)
+
+    @pytest.mark.parametrize("shape", [(8, 16), (16, 8, 3)])
+    def test_container_bytes_independent_of_layout(self, generic, shape):
+        frame = encode(np.random.default_rng(9).random(shape), CodecConfig(quant_step=0.01),
+                       generic)
+        blob = serialize_frame(frame)
+        for q in (np.asfortranarray(frame.qcoeffs), frame.qcoeffs.astype(np.int32)):
+            assert serialize_frame(dataclasses.replace(frame, qcoeffs=q)) == blob
+        assert len(blob) == 24 + len(frame.model_id) + 2 * frame.qcoeffs.size

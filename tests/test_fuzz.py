@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from v2vsim.channel import ChannelParams, Scenario, VehicleNode
 from v2vsim.cli import main
 from v2vsim.codec import (QUANT_STEP_GRID, CodecConfig, EntropyModel,
-                          _symbol_counts, decode, deserialize_frame, encode,
+                          _window_counts, decode, deserialize_frame, encode,
                           serialize_frame)
 from v2vsim.errors import ImageFormatError, ParseError, ValidationError
 from v2vsim.image_io import read_image, write_image
@@ -86,18 +86,53 @@ def sorted_coefficients(draw):
     return step, radius, np.sort(np.array(values))
 
 
+def reference_symbol_counts(ordered: np.ndarray, step: float, radius: int) -> np.ndarray:
+    """The full-alphabet counter rate control used before it priced only the
+    occupied window: entry ``radius + s`` counts symbol s among the ascending,
+    non-empty ``ordered``; symbols between those of the smallest and the
+    largest value are found by searching their rounding thresholds, and
+    values within a relative 2**-40 of a threshold by their own symbol."""
+    def symbol(x):
+        return np.clip(np.rint(x / step), -radius, radius)
+
+    low, high = (int(s) for s in symbol(ordered[[0, -1]]))
+    v = np.arange(low + 1, high + 1)
+    t = (v - 0.5) * step
+    band = np.abs(t) * 2.0 ** -40
+    lo = np.searchsorted(ordered, t - band)  # values below: symbol < v
+    hi = np.searchsorted(ordered, t + band)  # values from here: symbol >= v
+    width = hi - lo
+    skipped = np.cumsum(width) - width  # near values of the lower thresholds
+    near = ordered[np.arange(width.sum()) + np.repeat(lo - skipped, width)]
+    first = lo + np.searchsorted(symbol(near), v) - skipped
+    counts = np.zeros(2 * radius + 1, dtype=np.int64)
+    counts[low + radius:high + radius + 1] = np.diff(first, prepend=0,
+                                                     append=ordered.size)
+    return counts
+
+
 @FUZZ
 @given(case=sorted_coefficients())
 @example(case=(0.25, 2, np.array([-0.0])))
 @example(case=(0.5, 3, np.full(7, 0.25)))  # all on the tie that rounds to 0
 @example(case=(0.5, 3, np.full(7, 0.75)))  # all on the tie that rounds to 2
 @example(case=(1.0, 1, np.array([-1e12, 1e12])))
+@example(case=(0.5, 3, np.array([])))  # no coefficient kept for sorting
 def test_symbol_counts_equal_bincount(case):
     step, radius, ordered = case
     symbols = np.clip(np.round(ordered / step), -radius, radius).astype(np.int64)
     expected = np.bincount(symbols + radius, minlength=2 * radius + 1)
-    got = _symbol_counts(ordered, step, radius)
-    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    low, got = _window_counts(ordered, step, radius)
+    assert type(low) is int and got.dtype == expected.dtype
+    if not ordered.size:
+        assert low == 0 and got.size == 0
+        return
+    # the window runs from the smallest value's symbol to the largest's
+    assert low == symbols[0] and low + got.size - 1 == symbols[-1]
+    table = np.zeros_like(expected)
+    table[low + radius:low + radius + got.size] = got
+    assert np.array_equal(table, expected)
+    assert np.array_equal(reference_symbol_counts(ordered, step, radius), expected)
 
 
 SCENARIO_LINES = format_scenario(random_scenario(3), {0: "a.pgm"}).splitlines()
