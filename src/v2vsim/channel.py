@@ -11,9 +11,10 @@ the noise term ``N`` depends on ``noise_mode``:
 * ``"psd-times-subband"``: ``noise_level`` is a spectral density in W/Hz and
   is multiplied by the sub-channel bandwidth ``W / c``.
 
-The scalar functions and the fleet-wide matrices evaluate the same NumPy
-expressions (``_gain``, ``_capacity``, ``np.hypot``), so a matrix entry equals
-the single-pair call bit for bit; Python's ``**`` and ``math.hypot`` differ
+The fleet-wide matrices and ``planner.validate_plan``, which recomputes only
+the selected pairs, evaluate the same NumPy expressions (``_gain``,
+``_capacity``, ``np.hypot``) on arrays, so a value computed for a few pairs
+equals the matrix entry bit for bit; Python's ``**`` and ``math.hypot`` differ
 from NumPy's ``power`` and ``hypot`` in the last place on some inputs.
 
 All functions here are pure; nothing holds mutable state.
@@ -87,9 +88,6 @@ class VehicleNode:
     x: float
     y: float
 
-    def distance_to(self, other: "VehicleNode") -> float:
-        return float(np.hypot(self.x - other.x, self.y - other.y))
-
 
 @dataclass
 class Scenario:
@@ -147,7 +145,8 @@ class Scenario:
         return self._ego_index
 
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise distances; entry (i, j) equals ``nodes[i].distance_to(nodes[j])``."""
+        """Pairwise distances: entry (i, j) is ``np.hypot`` of the x and y
+        differences of ``nodes[i]`` and ``nodes[j]``."""
         x = np.array([node.x for node in self.nodes])
         y = np.array([node.y for node in self.nodes])
         return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
@@ -164,23 +163,6 @@ def _capacity(gain, params: ChannelParams):
     """Sub-channel Shannon capacity at a gain or an array of gains."""
     snr = params.transmit_power_w * gain / params.noise_power_w
     return params.subchannel_bandwidth_hz * np.log2(1.0 + snr)
-
-
-def channel_gain(src: VehicleNode, dst: VehicleNode, params: ChannelParams) -> float:
-    """Log-distance path-loss gain between two distinct nodes.
-
-    Returns a value in ``(0, reference_gain]``, non-increasing in distance.
-    """
-    if src.id == dst.id:
-        raise ValidationError(f"channel gain undefined for a node paired with itself (id {src.id})")
-    return float(_gain(src.distance_to(dst), params))
-
-
-def link_capacity(gain: float, params: ChannelParams) -> float:
-    """Shannon capacity in bit/s of one sub-channel at the given gain."""
-    if gain < 0:
-        raise ValidationError("gain must be non-negative")
-    return float(_capacity(gain, params))
 
 
 def capacity_matrix(scenario: Scenario,

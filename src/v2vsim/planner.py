@@ -43,12 +43,13 @@ the smallest k.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Scenario, capacity_matrix, channel_gain, link_capacity
+from .channel import Scenario, _capacity, _gain, capacity_matrix
 from .errors import InfeasibleError, SizeError, ValidationError
 
 GAMMA_MIN = 0.05
@@ -217,6 +218,27 @@ def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
     return _plan_from_selection(scenario, candidates, prefix[:need + best])
 
 
+@functools.cache
+def _level(k: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sets of ``size`` of ``k`` candidates, in ``itertools.combinations``
+    order, as read-only ``(parent, last)`` arrays: row r of size ``size`` is
+    row ``parent[r]`` of size ``size - 1`` (the empty set at size 1) plus
+    candidate ``last[r]``.  Every size of every k <= 20 fits in 2**k rows of
+    5 bytes, about 10 MB over all k.
+    """
+    last = _level(k, size - 1)[1] if size > 1 else np.array([-1], dtype=np.int8)
+    # a set's children extend it by every candidate above its last one; row
+    # r's children take the positions up to cumsum(children)[r] and end with
+    # candidate k - 1
+    children = (k - 1) - last.astype(np.intp)
+    parent = np.repeat(np.arange(len(last), dtype=np.int32), children)
+    last = (np.arange(len(parent))
+            - np.repeat(np.cumsum(children) - k, children)).astype(np.int8)
+    parent.flags.writeable = False
+    last.flags.writeable = False
+    return parent, last
+
+
 def exhaustive_optimum(scenario: Scenario) -> CommPlan:
     """Enumerate every feasible link selection and return the global optimum.
 
@@ -228,9 +250,10 @@ def exhaustive_optimum(scenario: Scenario) -> CommPlan:
     starting from the empty set, which keeps each size in
     ``itertools.combinations`` order.  A set's delay sum is its parent's sum
     plus the new delay, so it adds left to right from 0 as ``sum()`` over the
-    set would, and every average ``sum / size`` is exact to the bit.  A set
-    keeps only its parent's row and its last candidate; the winner is rebuilt
-    from them.
+    set would, and every average ``sum / size`` is exact to the bit.  Which
+    sets extend which depends on K and the size alone, so those tables
+    (:func:`_level`) are built once per (K, size) and shared by every call;
+    the winner is rebuilt from them.
 
     Ties: the plan is the first set reaching the least average, by size
     first, then lexicographically in candidate (row-major) order; a NaN or
@@ -249,23 +272,12 @@ def exhaustive_optimum(scenario: Scenario) -> CommPlan:
 
     delay = candidates.delay_s
     inbound = (candidates.dst == scenario.ego_index).astype(np.int8)
-    # the sets of the current size, starting from the empty set; parents[s - 1]
-    # and lasts[s - 1] hold each set of size s as (row of size s - 1, last index)
-    last = np.array([-1], dtype=np.int8)
-    sums, counts = np.zeros(1), np.zeros(1, dtype=np.int8)
-    parents, lasts = [], []
+    sums, counts = np.zeros(1), np.zeros(1, dtype=np.int8)  # the empty set
     best_avg, best = math.inf, None
     for size in range(1, min(budget, k) + 1):
-        children = (k - 1) - last.astype(np.intp)
-        parent = np.repeat(np.arange(len(last), dtype=np.int32), children)
-        # row r's children take the positions up to cumsum(children)[r] and
-        # end with candidate k - 1
-        last = (np.arange(len(parent))
-                - np.repeat(np.cumsum(children) - k, children)).astype(np.int8)
+        parent, last = _level(k, size)
         sums = sums[parent] + delay[last]
         counts = counts[parent] + inbound[last]
-        parents.append(parent)
-        lasts.append(last)
         avg = sums / size
         better = (counts >= need) & (avg < best_avg)
         if better.any():
@@ -275,9 +287,10 @@ def exhaustive_optimum(scenario: Scenario) -> CommPlan:
         raise InfeasibleError("no feasible link selection exists")
     size, row = best
     selection = []
-    for level in range(size - 1, -1, -1):
-        selection.append(int(lasts[level][row]))
-        row = int(parents[level][row])
+    for level in range(size, 0, -1):
+        parent, last = _level(k, level)
+        selection.append(int(last[row]))
+        row = int(parent[row])
     return _plan_from_selection(scenario, candidates, selection[::-1])
 
 
@@ -285,57 +298,79 @@ def validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
     """Independently re-derive every constraint and report violations.
 
     Capacities, distances and ratio floors of the selected links are
-    recomputed from the scenario rather than trusted from the plan.  Returns
-    a list of human-readable violation strings; an empty list means the plan
-    is valid.  A relative tolerance of 1e-9 absorbs float round-off in the
-    exponential bound and the rate cap.
+    recomputed from the scenario rather than trusted from the plan, by the
+    expressions :func:`~v2vsim.channel.capacity_matrix` and
+    ``Scenario.distance_matrix`` evaluate, so each equals their entry bit for
+    bit.  Returns a list of human-readable violation strings, link by link in
+    row-major order; an empty list means the plan is valid.  A relative
+    tolerance of 1e-9 absorbs float round-off in the exponential bound and
+    the rate cap.
     """
     rel_tol = 1e-9
-    issues: list[str] = []
     n = len(scenario.nodes)
+    for name, matrix in (("link", plan.link_matrix), ("compression", plan.compression),
+                         ("rate", plan.rates), ("delay", plan.delays)):
+        if matrix.shape != (n, n):
+            return [f"{name} matrix shape {matrix.shape} does not match scenario size {n}"]
+    issues: list[str] = []
     g = plan.link_matrix
-    if g.shape != (n, n):
-        return [f"link matrix shape {g.shape} does not match scenario size {n}"]
-    if np.any(np.diag(g) != 0):
+    if g.diagonal().any():
         issues.append("link matrix diagonal must be zero")
-    if not np.all(np.isin(g, (0, 1))):
+    if ((g != 0) & (g != 1)).any():
         issues.append("link matrix entries must be binary")
-    if np.any(plan.compression <= 0) or np.any(plan.compression > 1):
+    if (plan.compression <= 0).any() or (plan.compression > 1).any():
         issues.append("compression entries must lie in (0, 1]")
 
     budget = scenario.channel.num_subchannels
-    if g.sum() > budget:
-        issues.append(f"link budget violated: {int(g.sum())} links > {budget} sub-channels")
+    links = g.sum()
+    if links > budget:
+        issues.append(f"link budget violated: {int(links)} links > {budget} sub-channels")
     ego = scenario.ego_index
-    if g[:, ego].sum() < scenario.min_ego_links:
+    inbound = g[:, ego].sum()
+    if inbound < scenario.min_ego_links:
         issues.append(
-            f"ego floor violated: {int(g[:, ego].sum())} inbound links < "
+            f"ego floor violated: {int(inbound)} inbound links < "
             f"{scenario.min_ego_links} required")
 
-    nodes, params = scenario.nodes, scenario.channel
-    vols = scenario.data_volumes_bits
-    for i, j in zip(*np.nonzero(g)):
-        if i == j:
-            continue  # reported above as a diagonal entry
-        rate = plan.rates[i, j]
-        ratio = plan.compression[i, j]
-        if rate <= 0:
-            issues.append(f"link ({i},{j}): rate must be positive on a selected link")
-            continue
-        cap = link_capacity(channel_gain(nodes[i], nodes[j], params), params)
-        dist = nodes[i].distance_to(nodes[j])
-        if rate > cap * (1 + rel_tol):
-            issues.append(
-                f"link ({i},{j}): rate {rate:.6g} exceeds capacity {cap:.6g}")
-        bound = ratio * math.exp(dist / scenario.distance_scale_m)
-        if bound < scenario.beta * (1 - rel_tol):
-            issues.append(
-                f"link ({i},{j}): compression floor violated "
-                f"({bound:.12g} < beta={scenario.beta:.12g})")
-        expected = ratio * vols[i, j] / rate
-        if plan.delays[i, j] != expected:
-            issues.append(
-                f"link ({i},{j}): delay {plan.delays[i, j]!r} != ratio*volume/rate {expected!r}")
+    # the selected off-diagonal links in row-major order (a diagonal one is
+    # reported above); those with a rate, NaN included, are checked against
+    # the scenario
+    src, dst = g.nonzero()
+    off = src != dst
+    src, dst = src[off], dst[off]
+    flat = src * n + dst
+    live = ~(plan.rates.take(flat) <= 0)
+    s, d, flat = src[live], dst[live], flat[live]
+    rate, ratio = plan.rates.take(flat), plan.compression.take(flat)
+    x = np.array([node.x for node in scenario.nodes])
+    y = np.array([node.y for node in scenario.nodes])
+    dist = np.hypot(x[s] - x[d], y[s] - y[d])
+    params = scenario.channel
+    cap = _capacity(_gain(dist, params), params)
+    over = rate > cap * (1 + rel_tol)
+    scale = scenario.distance_scale_m
+    bound = ratio * np.array([math.exp(v / scale) for v in dist.tolist()])
+    below = bound < scenario.beta * (1 - rel_tol)
+    expected = ratio * scenario.data_volumes_bits.take(flat) / rate
+    wrong = plan.delays.take(flat) != expected
+    if not live.all() or (over | below | wrong).any():
+        m = -1  # the current link's index among the live ones
+        for i, j, has_rate in zip(src, dst, live):
+            if not has_rate:
+                issues.append(f"link ({i},{j}): rate must be positive on a selected link")
+                continue
+            m += 1
+            if over[m]:
+                issues.append(
+                    f"link ({i},{j}): rate {rate[m]:.6g} exceeds capacity {cap[m]:.6g}")
+            if below[m]:
+                issues.append(
+                    f"link ({i},{j}): compression floor violated "
+                    f"({bound[m]:.12g} < beta={scenario.beta:.12g})")
+            if wrong[m]:
+                issues.append(
+                    f"link ({i},{j}): delay {plan.delays[i, j]!r} != "
+                    f"ratio*volume/rate {expected[m]!r}")
     try:
         recomputed = average_delay(plan)
     except ValidationError:

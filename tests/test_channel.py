@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from v2vsim.channel import (ChannelParams, Scenario, VehicleNode,
-                            capacity_matrix, channel_gain, link_capacity)
+from v2vsim.channel import (ChannelParams, Scenario, VehicleNode, _capacity,
+                            _gain, capacity_matrix)
 from v2vsim.errors import ValidationError
+from v2vsim.planner import CommPlan, validate_plan
 
 
 def make_params(**overrides):
@@ -19,80 +20,91 @@ def make_params(**overrides):
     return ChannelParams(**base)
 
 
+def pair_distances(nodes, src, dst) -> np.ndarray:
+    """Distances of the pairs (src[k], dst[k]) as one array, from Python-float
+    coordinate differences, as ``validate_plan`` gathers its selected links."""
+    dx = np.array([nodes[i].x - nodes[j].x for i, j in zip(src, dst)])
+    dy = np.array([nodes[i].y - nodes[j].y for i, j in zip(src, dst)])
+    return np.hypot(dx, dy)
+
+
+def pair_capacities(nodes, src, dst, params) -> np.ndarray:
+    return _capacity(_gain(pair_distances(nodes, src, dst), params), params)
+
+
+def line_scenario(distances, params) -> Scenario:
+    """The ego at the origin and one node at each distance along the x axis."""
+    nodes = [VehicleNode(0, 0.0, 0.0)] + [VehicleNode(k + 1, float(d), 0.0)
+                                          for k, d in enumerate(distances)]
+    n = len(nodes)
+    return Scenario(nodes=nodes, ego_id=0, data_volumes_bits=np.zeros((n, n)),
+                    channel=params, beta=0.5)
+
+
 class TestChannelGain:
     def test_reference_distance_gives_reference_gain(self):
         params = make_params(pathloss_exponent=2.0)
-        a = VehicleNode(0, 0.0, 0.0)
-        b = VehicleNode(1, 10.0, 0.0)
-        assert channel_gain(a, b, params) == 1.0
+        assert _gain(np.array([10.0]), params).tolist() == [1.0]
 
     def test_double_distance_square_law(self):
         params = make_params(pathloss_exponent=2.0)
-        a = VehicleNode(0, 0.0, 0.0)
-        b = VehicleNode(1, 20.0, 0.0)
-        assert channel_gain(a, b, params) == pytest.approx(0.25, rel=1e-12)
+        assert _gain(np.array([20.0]), params)[0] == pytest.approx(0.25, rel=1e-12)
 
     def test_closed_form_at_37_5_m(self):
         # (10 / 37.5) ** 2.7, evaluated independently once
         params = make_params()
-        a = VehicleNode(0, 0.0, 0.0)
-        b = VehicleNode(1, 37.5, 0.0)
-        assert channel_gain(a, b, params) == pytest.approx(
+        assert _gain(np.array([37.5]), params)[0] == pytest.approx(
             0.028191330765839375, rel=1e-12)
 
     def test_clamps_below_reference_distance(self):
         params = make_params()
-        a = VehicleNode(0, 0.0, 0.0)
-        b = VehicleNode(1, 2.0, 0.0)
-        assert channel_gain(a, b, params) == 1.0
+        assert _gain(np.array([2.0, 0.0, 9.999]), params).tolist() == [1.0] * 3
 
     def test_same_node_rejected(self):
+        # a node paired with itself gets no capacity, even at the reference
+        # gain, and a plan that selects it fails validation
         params = make_params()
-        a = VehicleNode(3, 0.0, 0.0)
-        b = VehicleNode(3, 5.0, 0.0)
-        with pytest.raises(ValidationError):
-            channel_gain(a, b, params)
+        s = line_scenario([0.0, 5.0], params)
+        caps = capacity_matrix(s)
+        assert caps[1, 0] == _capacity(np.array([1.0]), params)[0] > 0
+        assert caps.diagonal().tolist() == [0.0, 0.0, 0.0]
+        link = np.zeros((3, 3), dtype=int)
+        link[1, 0] = link[1, 1] = 1
+        rates = np.where(link, caps[1, 0], 0.0)
+        plan = CommPlan(link, np.ones((3, 3)), rates, np.zeros((3, 3)), 0.0)
+        assert validate_plan(plan, s) == ["link matrix diagonal must be zero"]
 
     @given(d1=st.floats(0.0, 500.0), d2=st.floats(0.0, 500.0))
     def test_monotone_in_distance(self, d1, d2):
         params = make_params()
-        a = VehicleNode(0, 0.0, 0.0)
-        lo, hi = sorted((d1, d2))
-        g_near = channel_gain(a, VehicleNode(1, lo, 0.0), params)
-        g_far = channel_gain(a, VehicleNode(1, hi, 0.0), params)
+        g_near, g_far = _gain(np.array(sorted((d1, d2))), params)
         assert g_far <= g_near <= params.reference_gain
         assert g_far > 0
 
 
 class TestLinkCapacity:
     def test_zero_gain_zero_capacity(self):
-        assert link_capacity(0.0, make_params()) == 0.0
+        assert _capacity(np.array([0.0]), make_params()).tolist() == [0.0]
 
     def test_snr_three_doubles_bandwidth(self):
         # (10e6 / 2) * log2(1 + 3) = 10 Mbit/s
         params = make_params(total_bandwidth_hz=10e6, num_subchannels=2,
                              transmit_power_w=3.0, noise_level=1.0)
-        assert link_capacity(1.0, params) == pytest.approx(10e6, rel=1e-12)
+        assert _capacity(np.array([1.0]), params)[0] == pytest.approx(10e6, rel=1e-12)
 
     def test_closed_form_at_50_m(self):
         params = make_params()
-        a = VehicleNode(0, 0.0, 0.0)
-        b = VehicleNode(1, 50.0, 0.0)
-        gain = channel_gain(a, b, params)
-        assert gain == pytest.approx(0.012965252773542098, rel=1e-12)
-        assert link_capacity(gain, params) == pytest.approx(
-            106531097.2963636, rel=1e-12)
-
-    def test_negative_gain_rejected(self):
-        with pytest.raises(ValidationError):
-            link_capacity(-0.1, make_params())
+        gain = _gain(np.array([50.0]), params)
+        assert gain[0] == pytest.approx(0.012965252773542098, rel=1e-12)
+        cap = capacity_matrix(line_scenario([50.0], params))[1, 0]
+        assert cap == _capacity(gain, params)[0]
+        assert cap == pytest.approx(106531097.2963636, rel=1e-12)
 
     @given(h1=st.floats(1e-9, 1.0), h2=st.floats(1e-9, 1.0))
     def test_strictly_increasing_in_gain(self, h1, h2):
         params = make_params()
         lo, hi = sorted((h1, h2))
-        c_lo = link_capacity(lo, params)
-        c_hi = link_capacity(hi, params)
+        c_lo, c_hi = _capacity(np.array([lo, hi]), params)
         assert c_hi >= c_lo
         if hi > lo * (1 + 1e-9):
             assert c_hi > c_lo
@@ -103,18 +115,14 @@ class TestLinkCapacity:
                           noise_mode="psd-times-subband")
         literal = make_params(num_subchannels=1, noise_level=1e-15 * 20e6,
                               noise_mode="literal-power")
-        for gain in (1.0, 0.3, 0.01):
-            assert link_capacity(gain, psd) == pytest.approx(
-                link_capacity(gain, literal), rel=1e-12)
+        gains = np.array([1.0, 0.3, 0.01])
+        assert _capacity(gains, psd) == pytest.approx(_capacity(gains, literal), rel=1e-12)
 
     def test_capacity_never_increases_with_distance(self):
-        params = make_params()
-        a = VehicleNode(0, 0.0, 0.0)
-        prev = math.inf
-        for d in (5.0, 10.0, 20.0, 40.0, 80.0, 160.0):
-            cap = link_capacity(channel_gain(a, VehicleNode(1, d, 0.0), params), params)
-            assert cap <= prev
-            prev = cap
+        caps = capacity_matrix(line_scenario([5.0, 10.0, 20.0, 40.0, 80.0, 160.0],
+                                             make_params()))
+        inbound = caps[1:, 0]
+        assert np.all(np.diff(inbound) <= 0) and inbound[-1] > 0
 
 
 class TestCapacityMatrix:
@@ -142,26 +150,29 @@ class TestCapacityMatrix:
                 if i == j:
                     assert caps[i, j] == 0.0
                 else:
-                    gain = channel_gain(nodes[i], nodes[j], basic_params)
-                    assert caps[i, j] == link_capacity(gain, basic_params)
+                    pair = pair_capacities(nodes, [i], [j], basic_params)
+                    assert caps[i, j].tobytes() == pair.tobytes()
 
     def test_every_entry_equals_single_pair_calls(self, fleet_40):
-        # the matrix and the scalar calls evaluate one NumPy formula, so they
-        # agree bit for bit; math's pow and log2 differ in the last place
+        # the matrix and a gather of any pairs evaluate one NumPy formula, so
+        # they agree bit for bit; math's pow and log2 differ in the last place
         caps = capacity_matrix(fleet_40)
-        params = fleet_40.channel
-        for i, a in enumerate(fleet_40.nodes):
-            for j, b in enumerate(fleet_40.nodes):
-                if i != j:
-                    assert caps[i, j] == link_capacity(channel_gain(a, b, params), params)
+        params, nodes = fleet_40.channel, fleet_40.nodes
+        src, dst = np.nonzero(~np.eye(len(nodes), dtype=bool))
+        assert caps[src, dst].tobytes() == pair_capacities(nodes, src, dst, params).tobytes()
+        for i, j in zip(src[::37], dst[::37]):  # a pair alone gives the same bits
+            assert caps[i, j] == pair_capacities(nodes, [i], [j], params)[0]
 
 
 class TestDistanceMatrix:
-    def test_every_entry_equals_distance_to(self, fleet_40):
+    def test_every_entry_equals_pair_hypot(self, fleet_40):
         d = fleet_40.distance_matrix()
-        for i, a in enumerate(fleet_40.nodes):
-            for j, b in enumerate(fleet_40.nodes):
-                assert d[i, j] == a.distance_to(b)
+        n = len(fleet_40.nodes)
+        src, dst = np.divmod(np.arange(n * n), n)
+        assert d.ravel().tobytes() == pair_distances(fleet_40.nodes, src, dst).tobytes()
+        for i, j in ((0, 1), (7, 3), (39, 0), (5, 5)):
+            a, b = fleet_40.nodes[i], fleet_40.nodes[j]
+            assert d[i, j] == np.hypot(a.x - b.x, a.y - b.y)
 
 
 class TestValidation:

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 import v2vsim.planner
-from v2vsim.channel import ChannelParams, Scenario, VehicleNode, capacity_matrix
+from v2vsim.channel import (ChannelParams, Scenario, VehicleNode, _capacity, _gain,
+                            capacity_matrix)
 from v2vsim.errors import InfeasibleError, SizeError, ValidationError
-from v2vsim.planner import (CommPlan, _candidates, _check_feasible,
+from v2vsim.planner import (CommPlan, _candidates, _check_feasible, _level,
                             _plan_from_selection, average_delay,
                             compression_lower_bound,
                             exhaustive_optimum, optimize,
@@ -184,7 +185,8 @@ class TestOptimize:
         c = _candidates(fleet_40)
         assert len(c) == 40 * 39
         for i, j, dist, floor in zip(c.src, c.dst, c.distance_m, c.ratio_floor):
-            assert dist == fleet_40.nodes[i].distance_to(fleet_40.nodes[j])
+            a, b = fleet_40.nodes[i], fleet_40.nodes[j]
+            assert dist == np.hypot(a.x - b.x, a.y - b.y)
             assert floor == compression_lower_bound(dist, fleet_40.beta,
                                                     fleet_40.distance_scale_m)
 
@@ -387,6 +389,9 @@ class TestExhaustiveOptimum:
                                    channel=idle.channel, beta=0.8, min_ego_links=need))
         fleets.append(square_fleet(16, 2))
         assert len(_candidates(fleets[-1])) == 16
+        # the cap: 20 candidates, every size up to 20, idle-pair ties at delay 0
+        fleets.append(random_fleet(np.random.default_rng(20), 5, 20, 0.3, 2))
+        assert len(_candidates(fleets[-1])) == 20
         for k, s in enumerate(fleets):
             expected = oracle_outcome(reference_exhaustive_optimum, s)
             assert isinstance(expected[0], bytes), (k, expected)
@@ -430,6 +435,28 @@ class TestExhaustiveOptimum:
                      channel=basic_params, beta=0.5)
         with pytest.raises(SizeError):
             exhaustive_optimum(s)
+
+    def test_level_tables_follow_combinations_order(self):
+        for k in range(1, 11):
+            for size in range(1, k + 1):
+                parent, last = _level(k, size)
+                assert (parent.dtype, last.dtype) == (np.int32, np.int8)
+                rows, columns = np.arange(len(last)), []
+                for level in range(size, 0, -1):  # walk every row back to the empty set
+                    parent, last = _level(k, level)
+                    columns.append(last[rows])
+                    rows = parent[rows]
+                assert not rows.any()
+                sets = np.stack(columns[::-1], axis=1).tolist()
+                assert sets == [list(c) for c in itertools.combinations(range(k), size)]
+
+    def test_level_tables_are_shared_and_read_only(self):
+        parent, last = _level(7, 3)
+        assert _level(7, 3)[0] is parent and _level(7, 3)[1] is last
+        for table in (parent, last):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
 
 
 def overflow_fleet(bandwidth_hz: float, volumes) -> Scenario:
@@ -557,3 +584,169 @@ class TestPlanProperties:
                         float(d[full == 1].mean()))
         if full.sum() > s.channel.num_subchannels:
             assert any("budget" in msg for msg in validate_plan(bad3, s))
+
+
+def reference_validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
+    """validate_plan as a per-link loop: each selected link's distance, gain
+    and capacity from one scalar NumPy call each, as the deleted
+    ``VehicleNode.distance_to``, ``channel_gain`` and ``link_capacity`` did.
+    It checks only the link matrix's shape."""
+    rel_tol = 1e-9
+    issues: list[str] = []
+    n = len(scenario.nodes)
+    g = plan.link_matrix
+    if g.shape != (n, n):
+        return [f"link matrix shape {g.shape} does not match scenario size {n}"]
+    if np.any(np.diag(g) != 0):
+        issues.append("link matrix diagonal must be zero")
+    if not np.all(np.isin(g, (0, 1))):
+        issues.append("link matrix entries must be binary")
+    if np.any(plan.compression <= 0) or np.any(plan.compression > 1):
+        issues.append("compression entries must lie in (0, 1]")
+
+    budget = scenario.channel.num_subchannels
+    if g.sum() > budget:
+        issues.append(f"link budget violated: {int(g.sum())} links > {budget} sub-channels")
+    ego = scenario.ego_index
+    if g[:, ego].sum() < scenario.min_ego_links:
+        issues.append(
+            f"ego floor violated: {int(g[:, ego].sum())} inbound links < "
+            f"{scenario.min_ego_links} required")
+
+    nodes, params = scenario.nodes, scenario.channel
+    vols = scenario.data_volumes_bits
+    for i, j in zip(*np.nonzero(g)):
+        if i == j:
+            continue  # reported above as a diagonal entry
+        rate = plan.rates[i, j]
+        ratio = plan.compression[i, j]
+        if rate <= 0:
+            issues.append(f"link ({i},{j}): rate must be positive on a selected link")
+            continue
+        a, b = nodes[i], nodes[j]
+        dist = float(np.hypot(a.x - b.x, a.y - b.y))
+        cap = float(_capacity(float(_gain(dist, params)), params))
+        if rate > cap * (1 + rel_tol):
+            issues.append(
+                f"link ({i},{j}): rate {rate:.6g} exceeds capacity {cap:.6g}")
+        bound = ratio * math.exp(dist / scenario.distance_scale_m)
+        if bound < scenario.beta * (1 - rel_tol):
+            issues.append(
+                f"link ({i},{j}): compression floor violated "
+                f"({bound:.12g} < beta={scenario.beta:.12g})")
+        expected = ratio * vols[i, j] / rate
+        if plan.delays[i, j] != expected:
+            issues.append(
+                f"link ({i},{j}): delay {plan.delays[i, j]!r} != ratio*volume/rate {expected!r}")
+    try:
+        recomputed = average_delay(plan)
+    except ValidationError:
+        issues.append("plan selects no links")
+    else:
+        if not math.isclose(plan.avg_delay_s, recomputed, rel_tol=1e-12, abs_tol=1e-15):
+            issues.append(
+                f"stored average delay {plan.avg_delay_s!r} != recomputed {recomputed!r}")
+    return issues
+
+
+def plant(fault: str, plan: CommPlan, s: Scenario):
+    """``plan`` with one fault planted, and the text its report must hold;
+    None when the plan has no room for it."""
+    link, ratio = plan.link_matrix.copy(), plan.compression.copy()
+    rates, delays = plan.rates.copy(), plan.delays.copy()
+    avg = plan.avg_delay_s
+    selected = plan.selected_links()
+    (i, j), (p, q) = selected[0], selected[-1]
+    ego = s.ego_index
+    if fault == "rate over capacity":
+        rates[p, q] *= 1 + 1e-6
+        want = "exceeds capacity"
+    elif fault == "rate <= 0":
+        rates[i, j] = 0.0
+        rates[p, q] = -rates[p, q] if (p, q) != (i, j) else 0.0
+        want = "rate must be positive"
+    elif fault == "rate NaN":
+        rates[p, q] = math.nan
+        want = "!= ratio*volume/rate"  # NaN arithmetic: the delay no longer matches
+    elif fault == "ratio below the floor":
+        bound = ratio[p, q] * math.exp(s.distance_matrix()[p, q] / s.distance_scale_m)
+        ratio[p, q] *= s.beta / bound / 2
+        want = "compression floor violated"
+    elif fault == "delay off by one ulp":
+        delays[p, q] = np.nextafter(delays[p, q], math.inf)
+        want = "!= ratio*volume/rate"
+    elif fault == "diagonal entry":
+        link[i, i] = 1
+        want = "link matrix diagonal must be zero"
+    elif fault == "entry of 2":
+        link[p, q] = 2
+        want = "link matrix entries must be binary"
+    elif fault == "link over budget":
+        c = _candidates(s)
+        for k in range(len(c)):
+            a, b = c.src[k], c.dst[k]
+            if link.sum() > s.channel.num_subchannels:
+                break
+            if not link[a, b]:
+                link[a, b] = 1
+                ratio[a, b], rates[a, b] = c.ratio_floor[k], c.capacity_bps[k]
+                delays[a, b] = c.delay_s[k]
+        else:
+            return None
+        avg = float((link * delays).sum() / link.sum())
+        want = "link budget violated"
+    elif fault == "dropped ego link":
+        inbound = [(a, b) for a, b in selected if b == ego]
+        for a, b in inbound[s.min_ego_links - 1:]:
+            link[a, b], rates[a, b], delays[a, b], ratio[a, b] = 0, 0.0, 0.0, 1.0
+        want = "ego floor violated"
+    elif fault == "wrong average":
+        avg = avg * (1 + 1e-9) + 1e-14  # past both tolerances, even at 0
+        want = "stored average delay"
+    else:
+        raise AssertionError(fault)
+    return CommPlan(link, ratio, rates, delays, avg), want
+
+
+FAULTS = ("rate over capacity", "rate <= 0", "rate NaN", "ratio below the floor",
+          "delay off by one ulp", "diagonal entry", "entry of 2", "link over budget",
+          "dropped ego link", "wrong average")
+
+
+def test_validator_reports_what_the_per_link_loop_reports():
+    planted = dict.fromkeys(FAULTS, 0)
+    for seed in range(300):
+        s = random_scenario(seed, max_nodes=5, max_subchannels=4)
+        plan = optimize(s)
+        assert validate_plan(plan, s) == reference_validate_plan(plan, s) == [], seed
+        for fault in FAULTS:
+            planted_plan = plant(fault, plan, s)
+            if planted_plan is None:
+                continue
+            bad, want = planted_plan
+            issues = validate_plan(bad, s)
+            assert issues == reference_validate_plan(bad, s), (seed, fault)
+            assert any(want in msg for msg in issues), (seed, fault, issues)
+            planted[fault] += 1
+        # several faults at once keep the loop's order: three on the last
+        # link (rate, floor, delay), a rate of 0 on the first, and two entries
+        bad = plant("rate over capacity", plant("ratio below the floor", plan, s)[0], s)[0]
+        bad = plant("entry of 2", plant("diagonal entry", bad, s)[0], s)[0]
+        bad.rates[plan.selected_links()[0]] = 0.0
+        assert validate_plan(bad, s) == reference_validate_plan(bad, s), seed
+    assert min(planted.values()) >= 100, planted
+
+
+@pytest.mark.parametrize("name,field,cut", [
+    ("rate", "rates", np.s_[:-1, :-1]),
+    ("compression", "compression", np.s_[:-1]),
+    ("delay", "delays", np.s_[:, :-1]),
+])
+def test_validator_rejects_a_matrix_of_the_wrong_shape(name, field, cut):
+    s = random_scenario(3, 5, 4)
+    plan = optimize(s)
+    bad = dataclasses.replace(plan, **{field: getattr(plan, field)[cut]})
+    shape = getattr(bad, field).shape
+    n = len(s.nodes)
+    assert validate_plan(bad, s) == [
+        f"{name} matrix shape {shape} does not match scenario size {n}"]
