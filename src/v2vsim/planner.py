@@ -32,8 +32,10 @@ So E plus those links is optimal at size k, and a scan over k <= budget on
 one delay ordering, with prefix sums, finds the optimum.  Only the first
 ``budget`` links of that ordering are ever scanned, so nothing sorts all K
 candidates: E comes from the at most n - 1 ego-inbound links, and the rest
-from a partition at the ``budget - need``-th smallest delay, which costs O(K),
-followed by a sort of the candidates at or below that cut.
+from one partition of the K delays (E's set to NaN, which sorts last) at the
+``budget - need``-th smallest delay, which costs O(K), followed by a sort of
+the candidates at or below that cut.  Every pass over the n x n matrices
+finds its entries by flat index, row-major.
 
 Ties: where several link sets reach exactly the same average (in practice
 sets that differ in idle pairs, whose zero volume gives delay 0), the plan
@@ -75,7 +77,8 @@ class CommPlan:
         return int(self.link_matrix.sum())
 
     def selected_links(self) -> list[tuple[int, int]]:
-        return [(int(i), int(j)) for i, j in zip(*np.nonzero(self.link_matrix))]
+        n = self.link_matrix.shape[1]
+        return [divmod(k, n) for k in np.flatnonzero(self.link_matrix).tolist()]
 
 
 @dataclass(frozen=True)
@@ -138,12 +141,12 @@ class Candidates:
 def _candidates(scenario: Scenario) -> Candidates:
     dists = scenario.distance_matrix()
     caps = capacity_matrix(scenario, dists)
-    src, dst = np.nonzero(caps > 0.0)  # the diagonal is zero
-    cap = caps[src, dst]
-    dist = dists[src, dst]
+    flat = np.flatnonzero(caps > 0.0)  # row-major; the diagonal is zero
+    src, dst = np.divmod(flat, len(caps))
+    cap, dist = caps.take(flat), dists.take(flat)
     floor = _ratio_floor(dist, scenario.beta, scenario.distance_scale_m)
     with np.errstate(over="ignore"):  # a delay past the float range is inf; no plan picks it
-        delay = floor * scenario.data_volumes_bits[src, dst] / cap
+        delay = floor * scenario.data_volumes_bits.take(flat) / cap
     return Candidates(src, dst, cap, dist, floor, delay)
 
 
@@ -173,7 +176,7 @@ def _plan_from_selection(scenario: Scenario, candidates: Candidates,
     ratio[src, dst] = candidates.ratio_floor[selection]
     rates[src, dst] = candidates.capacity_bps[selection]
     delays[src, dst] = candidates.delay_s[selection]
-    avg = float((link * delays).sum() / link.sum())
+    avg = float(delays.sum() / len(src))  # delays is 0 off the links: the sum of link * delays
     return CommPlan(link, ratio, rates, delays, avg)
 
 
@@ -197,16 +200,17 @@ def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
     delay = candidates.delay_s
     ego = np.flatnonzero(candidates.dst == scenario.ego_index)
     forced = ego[np.argsort(delay[ego], kind="stable")[:need]]
-    pool = np.ones(len(candidates), dtype=bool)
-    pool[forced] = False
-    others = np.flatnonzero(pool)
-    extra = budget - need
-    if 0 < extra < len(others):
-        # keep every candidate up to the extra-th smallest delay, ties included,
-        # so the stable sort below still meets them in (delay, src, dst) order
-        cut = np.partition(delay[others], extra - 1)[extra - 1]
-        others = others[delay[others] <= cut]
-    rest = others[np.argsort(delay[others], kind="stable")[:extra]]
+    extra = min(budget, len(candidates)) - need
+    rest = forced[:0]  # none when the ego floor fills the budget
+    if extra:
+        # keep every other candidate up to the extra-th smallest delay, ties
+        # included, so the stable sort below still meets them in (delay, src,
+        # dst) order; a forced link's NaN sorts last and fails "<= cut"
+        pool = delay.copy()
+        pool[forced] = np.nan
+        cut = np.partition(pool, extra - 1)[extra - 1]
+        others = np.flatnonzero(pool <= cut)
+        rest = others[np.argsort(pool.take(others), kind="stable")[:extra]]
     prefix = np.concatenate((forced, rest))
     # average of the first k links for k = need .. len(prefix); argmin keeps
     # the smallest k among equal averages
@@ -318,7 +322,7 @@ def validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
         issues.append("link matrix diagonal must be zero")
     if ((g != 0) & (g != 1)).any():
         issues.append("link matrix entries must be binary")
-    if (plan.compression <= 0).any() or (plan.compression > 1).any():
+    if not ((plan.compression > 0) & (plan.compression <= 1)).all():  # NaN fails too
         issues.append("compression entries must lie in (0, 1]")
 
     budget = scenario.channel.num_subchannels
@@ -335,10 +339,10 @@ def validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
     # the selected off-diagonal links in row-major order (a diagonal one is
     # reported above); those with a rate, NaN included, are checked against
     # the scenario
-    src, dst = g.nonzero()
+    flat = np.flatnonzero(g)
+    src, dst = np.divmod(flat, n)
     off = src != dst
-    src, dst = src[off], dst[off]
-    flat = src * n + dst
+    src, dst, flat = src[off], dst[off], flat[off]
     live = ~(plan.rates.take(flat) <= 0)
     s, d, flat = src[live], dst[live], flat[live]
     rate, ratio = plan.rates.take(flat), plan.compression.take(flat)

@@ -218,8 +218,9 @@ def plan_matrix_report(plan: CommPlan) -> str:
             base = format(matrix.flat[0].item(), fmt)
             rows = [" ".join([base] * n_cols)] * n_rows
             patched: dict[int, list[str]] = {}
-            r, c = np.nonzero(keys != keys.flat[0])
-            for i, j, v in zip(r.tolist(), c.tolist(), matrix[r, c].tolist()):
+            flat = np.flatnonzero(keys != keys.flat[0])
+            for k, v in zip(flat.tolist(), matrix.take(flat).tolist()):
+                i, j = divmod(k, n_cols)
                 patched.setdefault(i, [base] * n_cols)[j] = format(v, fmt)
             for i, cells in patched.items():
                 rows[i] = " ".join(cells)

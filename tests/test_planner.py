@@ -15,8 +15,8 @@ import v2vsim.planner
 from v2vsim.channel import (ChannelParams, Scenario, VehicleNode, _capacity, _gain,
                             capacity_matrix)
 from v2vsim.errors import InfeasibleError, SizeError, ValidationError
-from v2vsim.planner import (CommPlan, _candidates, _check_feasible, _level,
-                            _plan_from_selection, average_delay,
+from v2vsim.planner import (Candidates, CommPlan, _candidates, _check_feasible, _level,
+                            _plan_from_selection, _ratio_floor, average_delay,
                             compression_lower_bound,
                             exhaustive_optimum, optimize,
                             validate_plan)
@@ -225,29 +225,72 @@ def full_sort_plan(scenario: Scenario) -> CommPlan:
     return _plan_from_selection(scenario, c, prefix[:size])
 
 
+def forced_first_fleet() -> Scenario:
+    """A cut at an infinite delay where a forced ego link comes first in
+    row-major order.  The ego is node 1; (0, 1) and (2, 1) are forced, two
+    idle pairs cost 0 and every other delay overflows to inf.  A scan that let
+    (0, 1) pass the cut a second time would lower the average with the copy."""
+    nodes = [VehicleNode(k, 30.0 * k, 0.0) for k in range(4)]
+    volumes = np.full((4, 4), 1e300)
+    volumes[0, 1], volumes[2, 1] = 1e5, 1e7
+    volumes[2, 3] = volumes[3, 2] = 0.0
+    np.fill_diagonal(volumes, 0.0)
+    params = ChannelParams(total_bandwidth_hz=5e-290, num_subchannels=5,
+                           transmit_power_w=0.2, noise_level=1e-9,
+                           pathloss_exponent=2.7, reference_distance_m=10.0)
+    return Scenario(nodes=nodes, ego_id=1, data_volumes_bits=volumes, channel=params,
+                    beta=0.8, min_ego_links=2)
+
+
 def test_partition_prefix_equals_full_sort_prefix():
     rng = np.random.default_rng(2024)
-    cases = dict.fromkeys(("no extra", "pool within budget", "cut between delays",
-                           "cut inside a tie run"), 0)
-    for fleet in range(300):
+    cases = dict.fromkeys(("budget == need", "pool within budget", "cut between delays",
+                           "cut inside a tie run", "cut at an infinite delay"), 0)
+    for fleet in range(400):
         n = 2 + int(149 * rng.random() ** 2)  # 2 to 150 nodes, small ones often
         budget = int(rng.integers(1, 41))
         need = int(rng.integers(1, min(budget, n - 1) + 1))
-        s = random_fleet(rng, n, budget, float(rng.uniform(0.0, 0.6)), need)
+        narrow = fleet % 4 == 0
+        s = random_fleet(rng, n, budget, 0.0 if narrow else float(rng.uniform(0.0, 0.6)),
+                         need)
+        if narrow:
+            # on a channel this narrow a delay is about 1e293; every pair but
+            # the ego links and a few others carries so much data that its
+            # delay overflows to inf
+            huge = rng.random((n, n)) >= budget / (2 * n * n)
+            huge[:, s.ego_index] = False
+            vols = s.data_volumes_bits * np.where(huge, 1e295, 1.0)
+            channel = dataclasses.replace(s.channel, total_bandwidth_hz=budget * 1e-290)
+            s = dataclasses.replace(s, data_volumes_bits=vols, channel=channel)
+
+        # the delays the scan cuts: every candidate but the forced ego links
+        c = _candidates(s)
+        ego = np.flatnonzero(c.dst == s.ego_index)
+        forced = ego[np.argsort(c.delay_s[ego], kind="stable")[:need]]
+        delays = np.sort(np.delete(c.delay_s, forced))
+        extra, pool = budget - need, len(delays)
+        cases["budget == need"] += extra == 0
+        cases["pool within budget"] += 0 < pool <= extra
+        if 0 < extra < pool:
+            if np.isinf(delays[extra - 1]):
+                cases["cut at an infinite delay"] += 1
+            elif delays[extra - 1] == delays[extra]:
+                cases["cut inside a tie run"] += 1
+            else:
+                cases["cut between delays"] += 1
+
         plan, expected = optimize(s), full_sort_plan(s)
         for name in ("link_matrix", "compression", "rates", "delays"):
             a, b = getattr(plan, name), getattr(expected, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (fleet, name)
         assert plan.avg_delay_s == expected.avg_delay_s, fleet
-
-        extra, pool = budget - need, n * (n - 1) - need
-        delays = np.sort(_candidates(s).delay_s)
-        cases["no extra"] += extra == 0
-        cases["pool within budget"] += 0 < pool <= extra
-        if 0 < extra < pool:
-            tied = delays[extra - 1] == delays[extra]
-            cases["cut inside a tie run" if tied else "cut between delays"] += 1
     assert min(cases.values()) >= 10, cases
+
+    s = forced_first_fleet()
+    plan, expected = optimize(s), full_sort_plan(s)
+    assert np.isinf(np.sort(_candidates(s).delay_s)[4])
+    assert plan.selected_links() == expected.selected_links() == [(0, 1), (2, 1), (2, 3), (3, 2)]
+    assert plan.avg_delay_s == expected.avg_delay_s
 
 
 def dinkelbach_average(delay: np.ndarray, inbound: np.ndarray, budget: int,
@@ -501,6 +544,92 @@ class TestOverflowingDelays:
         assert np.array_equal(plan.link_matrix, oracle.link_matrix)
 
 
+def reference_candidates(scenario: Scenario) -> Candidates:
+    """_candidates by a 2-D ``np.nonzero`` and three 2-D fancy gathers."""
+    dists = scenario.distance_matrix()
+    caps = capacity_matrix(scenario, dists)
+    src, dst = np.nonzero(caps > 0.0)
+    cap = caps[src, dst]
+    dist = dists[src, dst]
+    floor = _ratio_floor(dist, scenario.beta, scenario.distance_scale_m)
+    with np.errstate(over="ignore"):
+        delay = floor * scenario.data_volumes_bits[src, dst] / cap
+    return Candidates(src, dst, cap, dist, floor, delay)
+
+
+def perfbench_like_fleet(rng, n: int, subchannels: int, half_width_m: float) -> Scenario:
+    """A fleet drawn as the benchmark's ``_random_fleet`` draws one: the ego
+    at the origin, random radio parameters and 20% idle pairs."""
+    nodes = [VehicleNode(0, 0.0, 0.0)] + [
+        VehicleNode(k, float(rng.uniform(-half_width_m, half_width_m)),
+                    float(rng.uniform(-half_width_m, half_width_m))) for k in range(1, n)]
+    volumes = rng.uniform(1e5, 2e7, size=(n, n))
+    volumes[rng.random((n, n)) < 0.2] = 0.0
+    np.fill_diagonal(volumes, 0.0)
+    params = ChannelParams(
+        total_bandwidth_hz=float(rng.uniform(10e6, 40e6)), num_subchannels=subchannels,
+        transmit_power_w=float(rng.uniform(0.1, 1.0)),
+        noise_level=float(rng.uniform(1e-10, 1e-8)), noise_mode="literal-power",
+        pathloss_exponent=float(rng.uniform(2.0, 3.5)),
+        reference_distance_m=float(rng.uniform(5.0, 15.0)), reference_gain=1.0)
+    return Scenario(nodes=nodes, ego_id=0, data_volumes_bits=volumes, channel=params,
+                    beta=float(rng.uniform(0.5, 0.95)), distance_scale_m=100.0,
+                    min_ego_links=int(min(rng.integers(1, 3), subchannels, n - 1)))
+
+
+def far_apart_fleet() -> Scenario:
+    """Two pairs 1e11 m apart: across the gap the gain is about 1e-27, so
+    ``1 + snr`` rounds to 1 and the capacity is exactly 0."""
+    nodes = [VehicleNode(0, 0.0, 0.0), VehicleNode(1, 30.0, 0.0),
+             VehicleNode(2, 1e11, 0.0), VehicleNode(3, 1e11, 40.0)]
+    volumes = np.full((4, 4), 1e6)
+    np.fill_diagonal(volumes, 0.0)
+    params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=3,
+                           transmit_power_w=0.2, noise_level=1e-9,
+                           pathloss_exponent=2.7, reference_distance_m=10.0)
+    return Scenario(nodes=nodes, ego_id=0, data_volumes_bits=volumes, channel=params,
+                    beta=0.8, min_ego_links=1)
+
+
+def test_candidates_equal_the_2d_gather_bit_for_bit():
+    far = far_apart_fleet()
+    across = far.distance_matrix()[:2, 2:]
+    assert (_gain(across, far.channel) > 0).all()
+    assert (capacity_matrix(far)[:2, 2:] == 0).all()
+    assert len(_candidates(far)) == 4  # only the two links within each pair
+
+    rng = np.random.default_rng(150)
+    fleets = [random_scenario(seed, 5, 4) for seed in range(500)]
+    fleets += [perfbench_like_fleet(rng, 150, 16, 500.0) for _ in range(3)]
+    fleets += [perfbench_like_fleet(rng, 150, 12, 150.0) for _ in range(3)]
+    fleets += [far, overflow_fleet(*ALL_OVERFLOW),
+               overflow_fleet(1e-300, [[0, 1e10, 1e6], [1e6, 0, 1e10], [1e10, 1e6, 0]])]
+    for k, s in enumerate(fleets):
+        got, want = _candidates(s), reference_candidates(s)
+        for field in ("src", "dst", "capacity_bps", "distance_m", "ratio_floor", "delay_s"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, field)
+
+
+def test_selected_links_are_python_ints_in_row_major_order():
+    n = 5
+    link = np.zeros((n, n), dtype=int)
+    for i, j in ((4, 3), (2, 4), (0, 4), (4, 0), (1, 2)):
+        link[i, j] = 1
+    plan = CommPlan(link, np.ones((n, n)), link * 1e6, link * 0.5, 0.5)
+    links = plan.selected_links()
+    assert links == [(0, 4), (1, 2), (2, 4), (4, 0), (4, 3)]
+    assert all(type(v) is int for pair in links for v in pair)
+
+
+def test_validator_rejects_a_nan_compression_entry():
+    s = random_scenario(3, 5, 4)
+    plan = optimize(s)
+    plan.compression[0, 0] = math.nan  # off the selected links
+    want = ["compression entries must lie in (0, 1]"]
+    assert validate_plan(plan, s) == reference_validate_plan(plan, s) == want
+
+
 @pytest.mark.parametrize("skew", [1.0, 1.5])
 def test_oracle_benchmark_exit_code(monkeypatch, capsys, skew):
     # the script exits 1 when any planner average differs from the oracle's
@@ -601,7 +730,7 @@ def reference_validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
         issues.append("link matrix diagonal must be zero")
     if not np.all(np.isin(g, (0, 1))):
         issues.append("link matrix entries must be binary")
-    if np.any(plan.compression <= 0) or np.any(plan.compression > 1):
+    if not np.all((plan.compression > 0) & (plan.compression <= 1)):
         issues.append("compression entries must lie in (0, 1]")
 
     budget = scenario.channel.num_subchannels

@@ -195,6 +195,16 @@ def test_plan_matrix_report_formats_each_element():
         first = b * (n + 2) + 1
         assert lines[first:first + n] == [" ".join(format(v, fmt) for v in row)
                                           for row in matrix]
+    # entries that differ from the diagonal's value only in the last row and
+    # the last column, corners included, are patched into their own rows
+    link = np.zeros((n, n), dtype=int)
+    ratio, rates, delays = np.ones((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for i, j in ((n - 1, 0), (n - 1, 4), (0, n - 1), (5, n - 1), (n - 1, n - 1)):
+        link[i, j] = 1
+        ratio[i, j], rates[i, j], delays[i, j] = rng.random(), 10 ** rng.uniform(-3, 9), -0.0
+    delays[n - 1, 3] = 10 ** rng.uniform(-12, 3)
+    edges = CommPlan(link, ratio, rates, delays, 0.25)
+    assert plan_matrix_report(edges) == reference_matrix_report(edges)
 
 
 def reference_matrix_report(plan: CommPlan) -> str:
