@@ -41,7 +41,7 @@ def main() -> None:
                 bits.append(coded.bit_count / frame.size)
                 quality.append(psnr(frame, recon))
                 with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
+                    warnings.filterwarnings("ignore", "image .* supports only", UserWarning)
                     similarity.append(ms_ssim(frame, recon))
             rows[label] = (float(np.mean(bits)), float(np.mean(quality)),
                            float(np.mean(similarity)))

@@ -67,6 +67,9 @@ class CodecConfig:
             raise ValidationError(f"block_size must lie in [1, 255], got {self.block_size}")
         if not (0 < self.quant_step < math.inf):
             raise ValidationError("quant_step must be positive and finite")
+        if self.block_size / self.quant_step >= 2.0 ** 62:  # |coeff| <= block_size
+            raise ValidationError(f"quant_step {self.quant_step:g} is too fine: "
+                                  "quantized coefficients overflow int64")
         if not (0 <= self.rate_tolerance < math.inf):
             raise ValidationError("rate_tolerance must be non-negative and finite")
 
@@ -168,37 +171,15 @@ def _blockwise(x: np.ndarray, block: int, forward: bool) -> np.ndarray:
 
 
 def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """The checked image and its block-DCT coefficients, laid out like the
-    edge-padded image: (padH, padW) or (padH, padW, channels).  A finite image
-    can still overflow the transform; the caller checks the coefficients
-    (``_check_finite``) on the way it already reads them."""
-    arr = np.asarray(img, dtype=float)
-    if arr.size == 0:
-        raise ValidationError("cannot encode a zero-sized image")
-    arr = check_image(arr)
+    """The checked image (``check_image``: values in [0, 1]) and its block-DCT
+    coefficients, laid out like the edge-padded image: (padH, padW) or (padH,
+    padW, channels).  Every coefficient has |c| <= block (up to rounding), so
+    ``CodecConfig``'s step limit keeps ``c / step`` inside int64."""
+    arr = check_image(img)
     h, w = arr.shape[:2]
     pad = ((0, (-h) % block), (0, (-w) % block)) + ((0, 0),) * (arr.ndim - 2)
     padded = np.pad(arr, pad, mode="edge") if h % block or w % block else arr
-    with np.errstate(over="ignore", invalid="ignore"):
-        return arr, _blockwise(padded, block, forward=True)
-
-
-def _check_finite(extremes: np.ndarray) -> None:
-    """Reject a transform that overflowed: ``extremes`` (a maximum, or the
-    ends of a sorted copy) shows any NaN or infinite coefficient."""
-    if not np.isfinite(extremes).all():
-        raise ValidationError(
-            "the image's block transform overflows: its coefficients are not finite")
-
-
-def _check_step_fits(coeffs: np.ndarray, step: float) -> None:
-    """Reject an overflowed transform, and a step so fine that
-    ``coeffs / step`` leaves the int64 range."""
-    peak = np.abs(coeffs).max()  # NaN if any coefficient is
-    _check_finite(peak)
-    if peak >= 2.0 ** 62 * step:
-        raise ValidationError(
-            f"quant_step {step:g} is too fine: quantized coefficients overflow int64")
+    return arr, _blockwise(padded, block, forward=True)
 
 
 def _quantize_and_price(arr: np.ndarray, coeffs: np.ndarray, step: float,
@@ -215,7 +196,6 @@ def _quantize_and_price(arr: np.ndarray, coeffs: np.ndarray, step: float,
 def encode(img: np.ndarray, cfg: CodecConfig, em: EntropyModel) -> EncodedFrame:
     """Transform, quantize, and price an image under the entropy model."""
     arr, coeffs = _transform(img, cfg.block_size)
-    _check_step_fits(coeffs, cfg.quant_step)
     return _quantize_and_price(arr, coeffs, cfg.quant_step, cfg.block_size, em)
 
 
@@ -299,14 +279,11 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
     allowed = (1.0 + cfg.rate_tolerance) * ratio * (arr.size * 8)
 
     grid = QUANT_STEP_GRID
-    # |c / step| <= 1/2 rounds to 0 (ties to even) at every grid step; the
-    # comparisons keep NaN, so an overflowed transform sorts to an end
+    # |c / step| <= 1/2 rounds to 0 (ties to even) at every grid step
     flat = coeffs.reshape(-1)
     half = grid[0] / 2
     ordered = flat[~((flat <= half) & (flat >= -half))]
     ordered.sort()
-    if ordered.size:
-        _check_finite(ordered[[0, -1]])
     zeros_log2p = (flat.size - ordered.size) * em._log2_prob[em.radius]
 
     @functools.cache
@@ -351,7 +328,6 @@ def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
     counts = np.zeros(2 * em.radius + 1)
     for raw in raw_frames:
         _, coeffs = _transform(raw, cfg.block_size)
-        _check_step_fits(coeffs, cfg.quant_step)
         q = np.round(coeffs / cfg.quant_step).astype(np.int64)
         symbols = em.clip_symbols(q) + em.radius
         counts += np.bincount(symbols.ravel(), minlength=2 * em.radius + 1)

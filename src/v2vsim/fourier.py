@@ -22,7 +22,7 @@ from .errors import ValidationError
 
 
 def check_image(img: np.ndarray, name: str = "image") -> np.ndarray:
-    """Validate dimensions and finiteness; returns the array as float64."""
+    """Validate dimensions and the range [0, 1] (NaN fails); returns the array as float64."""
     arr = np.asarray(img, dtype=float)
     if arr.ndim == 3:
         if arr.shape[2] not in (1, 3):
@@ -31,8 +31,8 @@ def check_image(img: np.ndarray, name: str = "image") -> np.ndarray:
         raise ValidationError(f"{name}: expected a 2-D or 3-D array, got ndim={arr.ndim}")
     if arr.shape[0] < 2 or arr.shape[1] < 2:
         raise ValidationError(f"{name}: height and width must be >= 2, got {arr.shape[:2]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name}: values must be finite")
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise ValidationError(f"{name}: values must lie in [0, 1]")
     return arr
 
 

@@ -214,8 +214,9 @@ def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
     prefix = np.concatenate((forced, rest))
     # average of the first k links for k = need .. len(prefix); argmin keeps
     # the smallest k among equal averages
-    averages = (np.cumsum(candidates.delay_s[prefix])[need - 1:]
-                / np.arange(need, len(prefix) + 1))
+    with np.errstate(over="ignore"):  # a sum past the float range is inf and never wins
+        averages = (np.cumsum(candidates.delay_s[prefix])[need - 1:]
+                    / np.arange(need, len(prefix) + 1))
     best = int(np.argmin(averages))
     if not math.isfinite(averages[best]):  # as in the oracle, an infinite average never wins
         raise InfeasibleError("no feasible link selection exists")
@@ -278,15 +279,16 @@ def exhaustive_optimum(scenario: Scenario) -> CommPlan:
     inbound = (candidates.dst == scenario.ego_index).astype(np.int8)
     sums, counts = np.zeros(1), np.zeros(1, dtype=np.int8)  # the empty set
     best_avg, best = math.inf, None
-    for size in range(1, min(budget, k) + 1):
-        parent, last = _level(k, size)
-        sums = sums[parent] + delay[last]
-        counts = counts[parent] + inbound[last]
-        avg = sums / size
-        better = (counts >= need) & (avg < best_avg)
-        if better.any():
-            row = int(np.argmin(np.where(better, avg, math.inf)))
-            best_avg, best = float(avg[row]), (size, row)
+    with np.errstate(over="ignore"):  # as in optimize, a sum past the float range never wins
+        for size in range(1, min(budget, k) + 1):
+            parent, last = _level(k, size)
+            sums = sums[parent] + delay[last]
+            counts = counts[parent] + inbound[last]
+            avg = sums / size
+            better = (counts >= need) & (avg < best_avg)
+            if better.any():
+                row = int(np.argmin(np.where(better, avg, math.inf)))
+                best_avg, best = float(avg[row]), (size, row)
     if best is None:
         raise InfeasibleError("no feasible link selection exists")
     size, row = best
@@ -353,7 +355,14 @@ def validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
     cap = _capacity(_gain(dist, params), params)
     over = rate > cap * (1 + rel_tol)
     scale = scenario.distance_scale_m
-    bound = ratio * np.array([math.exp(v / scale) for v in dist.tolist()])
+
+    def floor_bound(r: float, d: float) -> float:  # past about 709.78 scales it is +inf: it passes
+        try:
+            return r * math.exp(d / scale)
+        except OverflowError:
+            return math.inf
+
+    bound = np.array([floor_bound(r, d) for r, d in zip(ratio.tolist(), dist.tolist())])
     below = bound < scenario.beta * (1 - rel_tol)
     expected = ratio * scenario.data_volumes_bits.take(flat) / rate
     wrong = plan.delays.take(flat) != expected

@@ -170,7 +170,7 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
             if link.dst == ego_id and align_alpha > 0 and link.src != ego_id:
                 recon = align(recon, ego_image, align_alpha)
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # reduced-scale notice per link
+                warnings.filterwarnings("ignore", "image .* supports only", UserWarning)
                 quality = ms_ssim(src_img, recon)
         except Exception as exc:
             # keep the original type so exit-code mapping still works

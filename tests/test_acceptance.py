@@ -6,7 +6,6 @@ lines; tolerances are pinned here, not configurable.
 
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -203,9 +202,7 @@ def test_criterion_8_simulation_determinism(tmp_path):
     images = {0: gradient_image(), 1: img, 2: np.clip(img + 0.1, 0, 1)}
     dirs = []
     for run in ("one", "two"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = simulate(scenario, images, CodecConfig(), align_alpha=0.05)
+        result = simulate(scenario, images, CodecConfig(), align_alpha=0.05)
         manifest = manifest_for(format_scenario(scenario), CodecConfig(), 0.05)
         outdir = tmp_path / run
         write_outputs(result, scenario, outdir, manifest)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from v2vsim.codec import (QUANT_STEP_GRID, CodecConfig, EncodedFrame,
                           EntropyModel, decode, deserialize_frame, encode,
                           rate_control, refine_model, serialize_frame)
 from v2vsim.errors import BudgetError, ValidationError
+from v2vsim.fourier import align, domain_gap
 from v2vsim.synth import shifting_sequence, sine_image
 
 from images import codec_fixture_images, rich_image
@@ -165,25 +167,50 @@ class TestEncodeDecode:
         with pytest.raises(ValidationError, match=field):
             CodecConfig(**{field: value})
 
-    @pytest.mark.parametrize("shape", [(16, 16), (16, 16, 3), (13, 21)])
-    @pytest.mark.parametrize("value", [1e308, -1e308])
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 16, 3), (13, 21), (256, 256)])
+    @pytest.mark.parametrize("value", [1e308, -1e308, 1e300, math.nan, -1e-300, 1 + 2 ** -52])
     def test_transform_overflow_rejected(self, generic, shape, value):
-        # a finite image whose block transform overflows: grey gives inf and
-        # NaN coefficients, RGB (kron's zeros times inf) NaN alone
+        # one value outside [0, 1] in a zero image is rejected at entry, by
+        # every image entry point; 1e300 on (256, 256) used to make
+        # rate_control wrap its int64 coefficients, and +-1e308 to overflow
+        # the transform
+        img = np.zeros(shape)
+        img[0, 0] = value
+        calls = [lambda: encode(img, CodecConfig(), generic),
+                 lambda: rate_control(img, 1.0, generic, CodecConfig()),
+                 lambda: refine_model(generic, [img], CodecConfig()),
+                 lambda: align(img, np.zeros(shape), 0.1),
+                 lambda: align(np.zeros(shape), img, 0.1),
+                 lambda: domain_gap([img], [np.zeros(shape)], 0.1),
+                 lambda: domain_gap([np.zeros(shape)], [img], 0.1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(ValidationError, match=r"values must lie in \[0, 1\]"):
+                    call()
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.0])
+    @pytest.mark.parametrize("shape", [(16, 16), (13, 21, 3)])
+    def test_unit_range_ends_accepted(self, generic, shape, value):
         img = np.full(shape, value)
-        with pytest.raises(ValidationError, match="not finite"):
-            encode(img, CodecConfig(), generic)
-        with pytest.raises(ValidationError, match="not finite"):
-            rate_control(img, 0.5, generic, CodecConfig())
-        with pytest.raises(ValidationError, match="not finite"):
-            refine_model(generic, [img], CodecConfig())
+        frame = encode(img, CodecConfig(), generic)
+        assert np.array_equal(decode(frame), np.full(shape, abs(value)))
+        rate_control(img, 1.0, generic, CodecConfig())
+        refine_model(generic, [img], CodecConfig())
+        assert np.array_equal(align(img, img, 0.1), np.full(shape, abs(value)))
+        assert domain_gap([img], [img], 0.1) == 0.0
 
     def test_step_too_fine_for_int64_rejected(self, generic):
-        # 1e-300 would overflow the int64 cast and wrap coefficients silently
-        with pytest.raises(ValidationError, match="too fine"):
-            encode(sine_image(16, 16), CodecConfig(quant_step=1e-300), generic)
-        with pytest.raises(ValidationError, match="too fine"):
-            refine_model(generic, [sine_image(16, 16)], CodecConfig(quant_step=1e-300))
+        # |coeff| <= block_size, so block_size / quant_step must stay below
+        # 2**62 for coeffs / step to fit int64; it is a configuration error
+        for step in (1e-300, 2.0 ** -59):
+            with pytest.raises(ValidationError, match="too fine"):
+                CodecConfig(block_size=8, quant_step=step)
+        step = float(np.nextafter(2.0 ** -59, 1.0))
+        frame = encode(np.ones((16, 16)), CodecConfig(block_size=8, quant_step=step), generic)
+        dc = frame.qcoeffs[::8, ::8]
+        assert np.all(np.abs(dc - 2 ** 62) <= 2 ** 12), dc  # positive, not wrapped
+        refine_model(generic, [np.ones((16, 16))], CodecConfig(block_size=8, quant_step=step))
 
     def test_deterministic(self, generic):
         img = sine_image()
@@ -209,6 +236,23 @@ class TestBlockwise:
                     got = codec._blockwise(view, block, forward)
                     assert same_bits(got, reference_blockwise(view, block, forward)), (
                         shape, forward, view.flags.c_contiguous)
+
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.integers(1, 255), h=st.integers(2, 40), w=st.integers(2, 40),
+           channels=st.sampled_from([1, 3]),
+           kind=st.sampled_from(["ones", "random", "binary", "checker"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_coefficients_bounded_by_block_size(self, block, h, w, channels, kind, seed):
+        # an orthonormal transform of values in [0, 1] has |c| <= block_size,
+        # the bound CodecConfig's step limit rests on
+        rng = np.random.default_rng(seed)
+        shape = (h, w) if channels == 1 else (h, w, channels)
+        img = {"ones": lambda: np.ones(shape),
+               "random": lambda: rng.random(shape),
+               "binary": lambda: rng.integers(0, 2, shape).astype(float),
+               "checker": lambda: np.indices(shape).sum(axis=0) % 2.0}[kind]()
+        _, coeffs = codec._transform(img, block)
+        assert np.abs(coeffs).max() <= block * (1 + 1e-12)
 
     def test_column_factor_built_once_and_read_only(self, monkeypatch):
         x = np.random.default_rng(7).random((16, 24, 3))

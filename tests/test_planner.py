@@ -440,7 +440,6 @@ class TestExhaustiveOptimum:
             assert isinstance(expected[0], bytes), (k, expected)
             assert oracle_outcome(exhaustive_optimum, s) == expected, k
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_equal_errors_on_infeasible_fleets(self, basic_params):
         far = Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, 1e200, 0.0),
                               VehicleNode(2, 1e200, 10.0)],
@@ -502,7 +501,7 @@ class TestExhaustiveOptimum:
                 table[0] = 1
 
 
-def overflow_fleet(bandwidth_hz: float, volumes) -> Scenario:
+def overflow_fleet(bandwidth_hz: float, volumes, beta: float = 0.5) -> Scenario:
     """Three nodes on a channel so narrow that some or all delays overflow to inf."""
     params = ChannelParams(total_bandwidth_hz=bandwidth_hz, num_subchannels=3,
                            transmit_power_w=0.2, noise_level=1e-9,
@@ -510,7 +509,7 @@ def overflow_fleet(bandwidth_hz: float, volumes) -> Scenario:
     return Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, 30.0, 0.0),
                            VehicleNode(2, 0.0, 40.0)],
                     ego_id=0, data_volumes_bits=np.array(volumes, dtype=float),
-                    channel=params, beta=0.5, min_ego_links=1)
+                    channel=params, beta=beta, min_ego_links=1)
 
 
 ALL_OVERFLOW = (1e-318, [[0, 1e6, 1e6], [1e6, 0, 1e6], [1e6, 1e6, 0]])
@@ -542,6 +541,21 @@ class TestOverflowingDelays:
         assert math.isfinite(plan.avg_delay_s) and plan.avg_delay_s > 1e300
         assert plan.avg_delay_s == oracle.avg_delay_s
         assert np.array_equal(plan.link_matrix, oracle.link_matrix)
+
+    def test_finite_delays_summing_past_the_float_range(self):
+        # every delay is finite, but a sum of two overflows: both solvers
+        # plan without a warning and agree with the itertools scan
+        s = overflow_fleet(1e-299, 1e10 * (1 - np.eye(3)), beta=0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(_candidates(s).delay_s).all()
+            expected = oracle_outcome(reference_exhaustive_optimum, s)
+            assert oracle_outcome(optimize, s) == expected
+            assert oracle_outcome(exhaustive_optimum, s) == expected
+            plan = optimize(s)
+            assert validate_plan(plan, s) == []
+        assert plan.selected_links() == [(1, 2), (2, 0)]
+        assert plan.avg_delay_s == 7.043443687129068e+307
 
 
 def reference_candidates(scenario: Scenario) -> Candidates:
@@ -620,6 +634,32 @@ def test_selected_links_are_python_ints_in_row_major_order():
     links = plan.selected_links()
     assert links == [(0, 4), (1, 2), (2, 4), (4, 0), (4, 3)]
     assert all(type(v) is int for pair in links for v in pair)
+
+
+def far_pair() -> Scenario:
+    """Two nodes 80 km apart, 800 distance scales: exp(d / scale) overflows,
+    yet the capacity is positive and the plan selects the link."""
+    params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=1,
+                           transmit_power_w=0.2, noise_level=1e-9,
+                           pathloss_exponent=2.7, reference_distance_m=10.0)
+    return Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, 80e3, 0.0)],
+                    ego_id=0, data_volumes_bits=np.array([[0.0, 0.0], [1e5, 0.0]]),
+                    channel=params, beta=0.8, min_ego_links=1)
+
+
+def test_validator_passes_a_link_past_the_exponent_range():
+    s = far_pair()
+    plan = optimize(s)
+    assert plan.selected_links() == [(1, 0)]
+    assert validate_plan(plan, s) == [] == reference_validate_plan(plan, s)
+    # a zero ratio there is reported once, with no 0 * inf warning
+    compression = plan.compression.copy()
+    compression[1, 0] = 0.0
+    bad = dataclasses.replace(plan, compression=compression)
+    issues = validate_plan(bad, s)
+    assert issues == reference_validate_plan(bad, s)
+    assert issues[0] == "compression entries must lie in (0, 1]"
+    assert not any("floor" in issue for issue in issues)
 
 
 def test_validator_rejects_a_nan_compression_entry():
@@ -758,7 +798,10 @@ def reference_validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
         if rate > cap * (1 + rel_tol):
             issues.append(
                 f"link ({i},{j}): rate {rate:.6g} exceeds capacity {cap:.6g}")
-        bound = ratio * math.exp(dist / scenario.distance_scale_m)
+        try:
+            bound = ratio * math.exp(dist / scenario.distance_scale_m)
+        except OverflowError:  # the bound is +inf, which passes
+            bound = math.inf
         if bound < scenario.beta * (1 - rel_tol):
             issues.append(
                 f"link ({i},{j}): compression floor violated "

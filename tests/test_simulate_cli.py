@@ -41,12 +41,6 @@ def frame_container(channels=1, block=8, height=16, width=16, pad_h=16,
     return header + model_id + coeffs.tobytes()
 
 
-def quiet_simulate(*args, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return simulate(*args, **kwargs)
-
-
 def two_node(raw_bits: float) -> Scenario:
     params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=1,
                            transmit_power_w=0.2, noise_level=1e-9,
@@ -75,8 +69,8 @@ class TestSimulate:
     def test_lossless_path_high_psnr(self):
         img = gradient_image()
         s = two_node(float(img.size * 8))
-        result = quiet_simulate(s, {0: gradient_image(), 1: sine_image()},
-                                CodecConfig(), align_alpha=0.0, ratio_override=1.0)
+        result = simulate(s, {0: gradient_image(), 1: sine_image()},
+                          CodecConfig(), align_alpha=0.0, ratio_override=1.0)
         assert result.report.n_links == 1
         assert result.report.mean_psnr_db > 50.0
         assert validate_plan(result.plan, s) == []
@@ -84,8 +78,8 @@ class TestSimulate:
     def test_codec_ratio_equals_plan_entry(self):
         img = sine_image()
         s = two_node(float(img.size * 8))
-        result = quiet_simulate(s, {0: gradient_image(), 1: img},
-                                CodecConfig(), align_alpha=0.1)
+        result = simulate(s, {0: gradient_image(), 1: img},
+                          CodecConfig(), align_alpha=0.1)
         (record,) = result.links
         ids = [node.id for node in s.nodes]
         i, j = ids.index(record.src), ids.index(record.dst)
@@ -94,8 +88,8 @@ class TestSimulate:
     def test_symmetric_links_equal_reports(self):
         img = sine_image()
         s = three_node_symmetric(float(img.size * 8))
-        result = quiet_simulate(s, {0: gradient_image(), 1: img, 2: img.copy()},
-                                CodecConfig(), align_alpha=0.05)
+        result = simulate(s, {0: gradient_image(), 1: img, 2: img.copy()},
+                          CodecConfig(), align_alpha=0.05)
         assert result.report.n_links == 2
         a, b = result.links
         assert a.delay_s == pytest.approx(b.delay_s, rel=1e-12)
@@ -109,7 +103,7 @@ class TestSimulate:
         s = two_node(float(img.size * 8))
         codec = CodecConfig()
         alpha = 0.1
-        result = quiet_simulate(s, {0: ego_img, 1: img}, codec, align_alpha=alpha)
+        result = simulate(s, {0: ego_img, 1: img}, codec, align_alpha=alpha)
         (record,) = result.links
         em = EntropyModel.generic()
         step, frame = rate_control(img, record.ratio, em, codec)
@@ -126,8 +120,8 @@ class TestSimulate:
         img = sine_image()
         s = three_node_symmetric(float(img.size * 8))
         codec = CodecConfig()
-        result = quiet_simulate(s, {0: gradient_image(), 1: img, 2: img.copy()},
-                                codec, align_alpha=0.0)
+        result = simulate(s, {0: gradient_image(), 1: img, 2: img.copy()},
+                          codec, align_alpha=0.0)
         total_budget = sum(r.ratio * img.size * 8 for r in result.links)
         total_bits = sum(r.bits for r in result.links)
         assert total_bits <= (1 + codec.rate_tolerance) * total_budget
@@ -135,12 +129,12 @@ class TestSimulate:
     def test_missing_source_image_names_link(self):
         s = two_node(1e6)
         with pytest.raises(ValidationError, match="1->0"):
-            quiet_simulate(s, {0: gradient_image()}, CodecConfig(), align_alpha=0.0)
+            simulate(s, {0: gradient_image()}, CodecConfig(), align_alpha=0.0)
 
     def test_missing_ego_image_for_alignment(self):
         s = two_node(1e6)
         with pytest.raises(ValidationError, match="ego"):
-            quiet_simulate(s, {1: sine_image()}, CodecConfig(), align_alpha=0.1)
+            simulate(s, {1: sine_image()}, CodecConfig(), align_alpha=0.1)
 
     @pytest.mark.parametrize("alpha", [math.nan, -0.5, 1.0, math.inf])
     def test_alpha_outside_unit_interval_rejected(self, alpha, monkeypatch):
@@ -149,8 +143,24 @@ class TestSimulate:
 
         monkeypatch.setattr("v2vsim.simulate.optimize", no_planning)
         with pytest.raises(ValidationError, match="alpha"):
-            quiet_simulate(two_node(1e6), {0: gradient_image(), 1: sine_image()},
-                           CodecConfig(), align_alpha=alpha)
+            simulate(two_node(1e6), {0: gradient_image(), 1: sine_image()},
+                     CodecConfig(), align_alpha=alpha)
+
+    def test_numeric_warnings_from_scoring_reach_the_caller(self, monkeypatch):
+        # simulate silences MS-SSIM's reduced-scale notice, not a numeric warning
+        def noisy_ms_ssim(x, y):
+            warnings.warn("image (64, 64) supports only 3 of 5 scales", UserWarning)
+            warnings.warn("overflow encountered in multiply", RuntimeWarning)
+            return 1.0
+
+        monkeypatch.setattr("v2vsim.simulate.ms_ssim", noisy_ms_ssim)
+        img = sine_image()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            simulate(two_node(float(img.size * 8)), {0: gradient_image(), 1: img},
+                     CodecConfig(), align_alpha=0.0)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "overflow encountered in multiply")]
 
     def test_byte_identical_reruns(self, tmp_path):
         img = sine_image()
@@ -158,7 +168,7 @@ class TestSimulate:
         images = {0: gradient_image(), 1: img, 2: img.copy()}
         outputs = []
         for run in ("a", "b"):
-            result = quiet_simulate(s, images, CodecConfig(), align_alpha=0.05)
+            result = simulate(s, images, CodecConfig(), align_alpha=0.05)
             manifest = manifest_for(format_scenario(s), CodecConfig(), 0.05)
             outdir = tmp_path / run
             write_outputs(result, s, outdir, manifest)
@@ -171,8 +181,8 @@ class TestSimulate:
     def test_csv_headers(self, tmp_path):
         img = sine_image()
         s = two_node(float(img.size * 8))
-        result = quiet_simulate(s, {0: gradient_image(), 1: img},
-                                CodecConfig(), align_alpha=0.0)
+        result = simulate(s, {0: gradient_image(), 1: img},
+                          CodecConfig(), align_alpha=0.0)
         manifest = manifest_for(format_scenario(s), CodecConfig(), 0.0)
         write_outputs(result, s, tmp_path, manifest)
         documented = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
@@ -249,9 +259,9 @@ class TestPlanMatrixReportBytes:
 
     def test_ratio_override_plan(self):
         img = sine_image()
-        result = quiet_simulate(three_node_symmetric(float(img.size * 8)),
-                                {0: gradient_image(), 1: img, 2: img},
-                                CodecConfig(), align_alpha=0.0, ratio_override=0.3)
+        result = simulate(three_node_symmetric(float(img.size * 8)),
+                          {0: gradient_image(), 1: img, 2: img},
+                          CodecConfig(), align_alpha=0.0, ratio_override=0.3)
         assert result.plan.num_links == 2
         assert plan_matrix_report(result.plan) == reference_matrix_report(result.plan)
 
@@ -448,6 +458,22 @@ class TestCli:
                 env=env, capture_output=True, text=True, timeout=60)
             assert out.returncode == 3, out.stderr
             assert out.stderr == "infeasible: no feasible link selection exists\n"
+
+    def test_link_past_the_exponent_range_is_planned(self, tmp_path):
+        # 80 km at a 100 m distance scale: the floor bound's exp overflows
+        params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=1,
+                               transmit_power_w=0.2, noise_level=1e-9,
+                               pathloss_exponent=2.7, reference_distance_m=10.0)
+        s = Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, 80e3, 0.0)],
+                     ego_id=0, data_volumes_bits=np.array([[0.0, 0.0], [1e5, 0.0]]),
+                     channel=params, beta=0.8, min_ego_links=1)
+        path = tmp_path / "far.scn"
+        path.write_text(format_scenario(s))
+        rc = main(["plan", "--scenario", str(path), "--outdir", str(tmp_path / "o")])
+        assert rc == 0
+        rows = (tmp_path / "o" / "plan.csv").read_text().splitlines()
+        assert rows[0] == PLAN_CSV_HEADER and len(rows) == 2
+        assert rows[1].startswith("1,0,")
 
     def test_missing_file_exits_4(self, tmp_path):
         rc = main(["plan", "--scenario", str(tmp_path / "nope.scn"),
