@@ -149,7 +149,8 @@ class Scenario:
         differences of ``nodes[i]`` and ``nodes[j]``."""
         x = np.array([node.x for node in self.nodes])
         y = np.array([node.y for node in self.nodes])
-        return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+        with np.errstate(over="ignore"):  # nodes beyond the float range apart: inf, no link
+            return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
 
 
 def _gain(distance, params: ChannelParams):

@@ -106,7 +106,7 @@ def align(src: np.ndarray, tgt: np.ndarray, alpha: float, clip: bool = True) -> 
         spec[rows, cols] = np.abs(tgt_spec[rows, cols]) * np.exp(1j * np.angle(spec[rows, cols]))
     out = np.fft.irfft2(spec, s=(h, w), axes=(0, 1))
     if clip:
-        out = np.clip(out, 0.0, 1.0)
+        np.clip(out, 0.0, 1.0, out=out)  # irfft2's output is fresh: clip it in place
     return out
 
 

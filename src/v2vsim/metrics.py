@@ -4,7 +4,8 @@ PSNR uses peak 1.0, so ``psnr = 10 * log10(1 / mse)`` and identical inputs
 return ``math.inf`` as the documented sentinel.  MS-SSIM follows the standard
 5-scale construction: 11x11 Gaussian window (sigma 1.5, separable, so applied
 as two 11-tap passes, each a BLAS matrix-vector product over windows that
-slide along axis 1; the first writes its output transposed), stability
+slide along axis 1; the first writes its output transposed; the five moment
+maps pass one at a time, so a call holds about six image-sized maps), stability
 constants K1 = 0.01 and K2 = 0.03, canonical scale weights (0.0448, 0.2856,
 0.3001, 0.2363, 0.1333).  The luminance term is computed only at the coarsest
 scale, the only one that uses it.  Images smaller than 176 pixels on a side
@@ -70,21 +71,33 @@ def _local_stats(x: np.ndarray, y: np.ndarray,
     has unit stride down its columns and ``@ g`` runs as BLAS gemv.  The first
     pass writes its output transposed, so the second one filters along the
     image rows.  The maps come out transposed; only their means are used.
+    The five moment maps are filtered one at a time through one column buffer,
+    so a call holds about six image-sized maps.
     """
     h, w = x.shape[0] - g.size + 1, x.shape[1] - g.size + 1  # the valid region
-    moments = np.array((x, y, x * x, y * y, x * y))  # C order whatever the inputs' layout
-    cols = np.empty((5, x.shape[1], h))
-    np.matmul(sliding_window_view(moments, g.size, axis=1), g, out=cols.transpose(0, 2, 1))
-    # The maps go into the spent moments buffer and are updated in place: fresh
-    # arrays doubled the page faults per call (926 against about 450 at 176²).
+    moments = np.empty((5,) + x.shape)  # C order whatever the inputs' layout
+    moments[0], moments[1] = x, y
+    np.multiply(x, x, out=moments[2])
+    np.multiply(y, y, out=moments[3])
+    np.multiply(x, y, out=moments[4])
+    col = np.empty((x.shape[1], h))
+    rows = sliding_window_view(moments, g.size, axis=1)
+    windows = sliding_window_view(col, g.size, axis=0)
+    # Map k fills flat [k w h, (k + 1) w h) of the stack, inside moments 0..k,
+    # whose row passes are done; moments k + 1.. stay untouched.  Each gemv has
+    # the shape and strides of the all-maps-at-once form, so the bytes match it.
     maps = moments.reshape(-1)[: 5 * w * h].reshape(5, w, h)
-    mu_x, mu_y, sxx, syy, sxy = np.matmul(sliding_window_view(cols, g.size, axis=1), g, out=maps)
+    for k in range(5):
+        np.matmul(rows[k], g, out=col.T)
+        np.matmul(windows, g, out=maps[k])
+    mu_x, mu_y, sxx, syy, sxy = maps
+    tmp = col.reshape(-1)[: w * h].reshape(w, h)  # the spent column buffer
     # cs = (2 (sxy - mu_x mu_y) + c2) / ((sxx - mu_x^2) + (syy - mu_y^2) + c2)
-    sxy -= mu_x * mu_y
+    sxy -= np.multiply(mu_x, mu_y, out=tmp)
     sxy *= 2.0
     sxy += SSIM_K2 ** 2
-    sxx -= mu_x * mu_x
-    syy -= mu_y * mu_y
+    sxx -= np.multiply(mu_x, mu_x, out=tmp)
+    syy -= np.multiply(mu_y, mu_y, out=tmp)
     sxx += syy
     sxx += SSIM_K2 ** 2
     sxy /= sxx
@@ -114,8 +127,8 @@ def _ms_ssim_single(x: np.ndarray, y: np.ndarray, scales: int) -> float:
     weights = weights / weights.sum()
     value = 1.0
     for level in range(scales - 1):
-        cs_map = _local_stats(x, y, window)[2]
-        value *= max(float(cs_map.mean()), 0.0) ** weights[level]  # clamp keeps powers real
+        cs = float(_local_stats(x, y, window)[2].mean())  # frees this scale's maps
+        value *= max(cs, 0.0) ** weights[level]  # clamp keeps powers real
         x = _downsample(x)
         y = _downsample(y)
     mu_x, mu_y, cs_map = _local_stats(x, y, window)

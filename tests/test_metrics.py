@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,8 +13,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import v2vsim
 from v2vsim.errors import ValidationError
-from v2vsim.metrics import (MS_SSIM_WEIGHTS, SSIM_K1, SSIM_K2, _downsample, feasible_scales,
-                            ms_ssim, psnr)
+from v2vsim.metrics import (MS_SSIM_WEIGHTS, SSIM_K1, SSIM_K2, _downsample, _gaussian_window,
+                            _local_stats, feasible_scales, ms_ssim, psnr)
 from v2vsim.simulate import REPORT_HEADER, QualityReport, csv_text
 
 MS_SSIM_GOLDEN = 0.9651751635890322  # pinned once from the reference path below
@@ -63,6 +64,40 @@ def reference_ms_ssim(x, y, scales=5):
         if level != scales - 1:
             x, y = reference_downsample(x), reference_downsample(y)
     return value
+
+
+def reference_local_stats(x, y, g):
+    """The stacked form of ``_local_stats``: all five moments filtered at once."""
+    h, w = x.shape[0] - g.size + 1, x.shape[1] - g.size + 1
+    moments = np.array((x, y, x * x, y * y, x * y))
+    cols = np.empty((5, x.shape[1], h))
+    np.matmul(sliding_window_view(moments, g.size, axis=1), g, out=cols.transpose(0, 2, 1))
+    maps = moments.reshape(-1)[: 5 * w * h].reshape(5, w, h)
+    mu_x, mu_y, sxx, syy, sxy = np.matmul(sliding_window_view(cols, g.size, axis=1), g, out=maps)
+    sxy -= mu_x * mu_y
+    sxy *= 2.0
+    sxy += SSIM_K2 ** 2
+    sxx -= mu_x * mu_x
+    syy -= mu_y * mu_y
+    sxx += syy
+    sxx += SSIM_K2 ** 2
+    sxy /= sxx
+    return mu_x, mu_y, sxy
+
+
+def local_stats_pairs():
+    rng = np.random.default_rng(25)
+    pairs = {"golden": golden_pair()}
+    for shape in ((11, 11), (177, 190)):
+        x = rng.random(shape)
+        pairs[f"{shape[0]}x{shape[1]}"] = (x, np.clip(x + 0.1 * rng.standard_normal(shape), 0, 1))
+    x = rng.random((176, 176, 3))
+    y = np.clip(x + 0.1 * rng.standard_normal(x.shape), 0, 1)
+    for c in range(3):
+        pairs[f"rgb{c}"] = (x[:, :, c], y[:, :, c])
+    gx, gy = golden_pair()
+    pairs["fortran"] = (np.asfortranarray(gx), np.asfortranarray(gy))
+    return pairs
 
 
 class TestPsnr:
@@ -179,6 +214,27 @@ class TestMsSsim:
                                   capture_output=True, text=True, timeout=120)
             outputs.add(proc.stdout)
         assert len(outputs) == 1
+
+    @pytest.mark.parametrize("name", list(local_stats_pairs()))
+    def test_local_stats_bit_equal_to_stacked_form(self, name):
+        x, y = local_stats_pairs()[name]
+        g = _gaussian_window()
+        for got, want in zip(_local_stats(x, y, g), reference_local_stats(x, y, g)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_working_set_at_176(self):
+        # one moment stack and one column buffer: about six image-sized maps;
+        # a scale's stack kept alive into the next scale reads about seven
+        x, y = golden_pair()
+        ms_ssim(x, y)
+        tracemalloc.start()
+        try:
+            ms_ssim(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * x.size * x.itemsize
 
     def test_five_scales_at_176(self):
         assert feasible_scales(176, 176) == 5

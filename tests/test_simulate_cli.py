@@ -475,6 +475,22 @@ class TestCli:
         assert rows[0] == PLAN_CSV_HEADER and len(rows) == 2
         assert rows[1].startswith("1,0,")
 
+    def test_nodes_beyond_the_float_range_apart_exit_3_without_warnings(self, tmp_path, capsys):
+        # the ego and node 1 are 2e308 m apart: their distance is inf, not a warning
+        params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=1,
+                               transmit_power_w=0.2, noise_level=1e-9)
+        s = Scenario(nodes=[VehicleNode(0, -1e308, 0.0), VehicleNode(1, 1e308, 0.0),
+                            VehicleNode(2, 0.0, 5.0)],
+                     ego_id=0, data_volumes_bits=1e6 * (1 - np.eye(3)),
+                     channel=params, beta=0.5, min_ego_links=1)
+        path = tmp_path / "wide.scn"
+        path.write_text(format_scenario(s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["plan", "--scenario", str(path), "--outdir", str(tmp_path / "o")])
+        assert rc == 3
+        assert "ego connectivity" in capsys.readouterr().err
+
     def test_missing_file_exits_4(self, tmp_path):
         rc = main(["plan", "--scenario", str(tmp_path / "nope.scn"),
                    "--seed", "1", "--outdir", str(tmp_path / "o")])
