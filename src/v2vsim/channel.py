@@ -12,10 +12,13 @@ the noise term ``N`` depends on ``noise_mode``:
   is multiplied by the sub-channel bandwidth ``W / c``.
 
 The fleet-wide matrices and ``planner.validate_plan``, which recomputes only
-the selected pairs, evaluate the same NumPy expressions (``_gain``,
-``_capacity``, ``np.hypot``) on arrays, so a value computed for a few pairs
-equals the matrix entry bit for bit; Python's ``**`` and ``math.hypot`` differ
-from NumPy's ``power`` and ``hypot`` in the last place on some inputs.
+the selected pairs, run the same ufuncs (``_capacity``, ``np.hypot``), so a
+value computed for a few pairs equals the matrix entry bit for bit; Python's
+``**`` and ``math.hypot`` differ from NumPy's in the last place on some inputs.
+``_capacity`` runs its whole chain in place in one new array, so
+``capacity_matrix`` holds two n x n arrays (distances, capacities), as does
+``distance_matrix`` at its peak.  ``ChannelParams`` rejects a non-finite peak
+capacity (the gain never exceeds ``reference_gain``), so no step overflows.
 
 All functions here are pure; nothing holds mutable state.
 """
@@ -67,6 +70,9 @@ class ChannelParams:
             raise ValidationError("reference_distance_m must be positive")
         if self.reference_gain <= 0:
             raise ValidationError("reference_gain must be positive")
+        with np.errstate(all="ignore"):  # distance 0 clamps to d0: the peak capacity
+            if not np.isfinite(_capacity(np.zeros(1), self)).all():
+                raise ValidationError("peak SNR (P * g_ref / N) and capacity must be finite")
 
     @property
     def subchannel_bandwidth_hz(self) -> float:
@@ -147,23 +153,26 @@ class Scenario:
     def distance_matrix(self) -> np.ndarray:
         """Pairwise distances: entry (i, j) is ``np.hypot`` of the x and y
         differences of ``nodes[i]`` and ``nodes[j]``."""
-        x = np.array([node.x for node in self.nodes])
-        y = np.array([node.y for node in self.nodes])
+        x = np.array([node.x for node in self.nodes], dtype=float)
+        y = np.array([node.y for node in self.nodes], dtype=float)
         with np.errstate(over="ignore"):  # nodes beyond the float range apart: inf, no link
-            return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+            dx = np.subtract.outer(x, x)
+            return np.hypot(dx, np.subtract.outer(y, y), out=dx)
 
 
-def _gain(distance, params: ChannelParams):
-    """Path-loss gain at a distance or an array of distances."""
+def _capacity(distance: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """``(W / c) * log2(1 + P * (g_ref * (d0 / max(d, d0)) ** alpha) / N)`` at an
+    array of distances, one ufunc per operation in that order, in one new array."""
     d0 = params.reference_distance_m
-    return params.reference_gain * np.power(d0 / np.maximum(distance, d0),
-                                            params.pathloss_exponent)
-
-
-def _capacity(gain, params: ChannelParams):
-    """Sub-channel Shannon capacity at a gain or an array of gains."""
-    snr = params.transmit_power_w * gain / params.noise_power_w
-    return params.subchannel_bandwidth_hz * np.log2(1.0 + snr)
+    cap = np.maximum(distance, d0)
+    np.divide(d0, cap, out=cap)
+    np.power(cap, params.pathloss_exponent, out=cap)
+    np.multiply(params.reference_gain, cap, out=cap)  # the path gain
+    np.multiply(params.transmit_power_w, cap, out=cap)
+    np.divide(cap, params.noise_power_w, out=cap)  # the SNR
+    np.add(1.0, cap, out=cap)
+    np.log2(cap, out=cap)
+    return np.multiply(params.subchannel_bandwidth_hz, cap, out=cap)
 
 
 def capacity_matrix(scenario: Scenario,
@@ -172,7 +181,6 @@ def capacity_matrix(scenario: Scenario,
     ``distances``, if given, must be ``scenario.distance_matrix()``."""
     if distances is None:
         distances = scenario.distance_matrix()
-    params = scenario.channel
-    caps = _capacity(_gain(distances, params), params)
+    caps = _capacity(distances, scenario.channel)
     np.fill_diagonal(caps, 0.0)
     return caps

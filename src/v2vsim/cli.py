@@ -52,7 +52,7 @@ def _load_scenario(path: str):
 
 
 def cmd_plan(args) -> int:
-    _, doc = _load_scenario(args.scenario)
+    doc = _load_scenario(args.scenario)[1]  # the text is not kept through planning
     plan = optimize(doc.scenario)
     issues = validate_plan(plan, doc.scenario)
     if issues:
@@ -63,7 +63,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _, doc = _load_scenario(args.scenario)
+    doc = _load_scenario(args.scenario)[1]  # the text is not kept through planning
     plan = exhaustive_optimum(doc.scenario)
     write_plan(plan, doc.scenario, Path(args.outdir))
     print(f"optimal average delay: {plan.avg_delay_s:.9g} s over {plan.num_links} links")

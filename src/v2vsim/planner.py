@@ -37,6 +37,11 @@ from one partition of the K delays (E's set to NaN, which sorts last) at the
 the candidates at or below that cut.  Every pass over the n x n matrices
 finds its entries by flat index, row-major.
 
+Memory, in n x n float64 arrays: ``_candidates`` drops the distance and
+capacity matrices once gathered and computes the floors and delays in place;
+``optimize`` partitions one copy of the delays in place and drops the
+candidates before it builds the plan's four matrices.  Each peaks at about 7.
+
 Ties: where several link sets reach exactly the same average (in practice
 sets that differ in idle pairs, whose zero volume gives delay 0), the plan
 is the one the scan meets first: candidates in (delay, src, dst) order, and
@@ -47,11 +52,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import Scenario, _capacity, _gain, capacity_matrix
+from .channel import Scenario, _capacity, capacity_matrix
 from .errors import InfeasibleError, SizeError, ValidationError
 
 GAMMA_MIN = 0.05
@@ -103,12 +108,17 @@ def compression_lower_bound(distance_m: float, beta: float,
         raise ValidationError("beta must lie in (0, 1]")
     if distance_scale_m <= 0:
         raise ValidationError("distance_scale_m must be positive")
-    return float(_ratio_floor(distance_m, beta, distance_scale_m))
+    return float(_ratio_floor(np.array([distance_m], dtype=float), beta, distance_scale_m)[0])
 
 
-def _ratio_floor(distance_m, beta: float, distance_scale_m: float):
-    """``compression_lower_bound`` without checks, for a distance or an array."""
-    return np.maximum(beta * np.exp(-distance_m / distance_scale_m), GAMMA_MIN)
+def _ratio_floor(distance_m: np.ndarray, beta: float, distance_scale_m: float):
+    """``compression_lower_bound`` without checks, for an array of distances:
+    ``max(beta * exp(-d / scale), GAMMA_MIN)``, one ufunc per operation in place."""
+    with np.errstate(over="ignore"):  # a subnormal scale: -inf, so the floor is GAMMA_MIN
+        floor = np.divide(distance_m, -distance_scale_m)  # the bits of -d / scale
+    np.exp(floor, out=floor)
+    np.multiply(beta, floor, out=floor)
+    return np.maximum(floor, GAMMA_MIN, out=floor)
 
 
 def average_delay(plan: CommPlan) -> float:
@@ -137,16 +147,22 @@ class Candidates:
     def __len__(self) -> int:
         return len(self.src)
 
+    def take(self, selection) -> Candidates:
+        return Candidates(*(getattr(self, f.name)[selection] for f in fields(self)))
+
 
 def _candidates(scenario: Scenario) -> Candidates:
     dists = scenario.distance_matrix()
     caps = capacity_matrix(scenario, dists)
     flat = np.flatnonzero(caps > 0.0)  # row-major; the diagonal is zero
-    src, dst = np.divmod(flat, len(caps))
     cap, dist = caps.take(flat), dists.take(flat)
+    del caps, dists
+    src, dst = np.divmod(flat, len(scenario.nodes))
     floor = _ratio_floor(dist, scenario.beta, scenario.distance_scale_m)
+    delay = scenario.data_volumes_bits.take(flat)
+    np.multiply(floor, delay, out=delay)
     with np.errstate(over="ignore"):  # a delay past the float range is inf; no plan picks it
-        delay = floor * scenario.data_volumes_bits.take(flat) / cap
+        np.divide(delay, cap, out=delay)
     return Candidates(src, dst, cap, dist, floor, delay)
 
 
@@ -164,18 +180,17 @@ def _check_feasible(scenario: Scenario, candidates: Candidates) -> None:
             f"the ego vehicle, min_ego_links={need}")
 
 
-def _plan_from_selection(scenario: Scenario, candidates: Candidates,
-                         selection) -> CommPlan:
+def _plan_from_selection(scenario: Scenario, chosen: Candidates) -> CommPlan:
     n = len(scenario.nodes)
-    src, dst = candidates.src[selection], candidates.dst[selection]
+    src, dst = chosen.src, chosen.dst
     link = np.zeros((n, n), dtype=int)
     ratio = np.ones((n, n))
     rates = np.zeros((n, n))
     delays = np.zeros((n, n))
     link[src, dst] = 1
-    ratio[src, dst] = candidates.ratio_floor[selection]
-    rates[src, dst] = candidates.capacity_bps[selection]
-    delays[src, dst] = candidates.delay_s[selection]
+    ratio[src, dst] = chosen.ratio_floor
+    rates[src, dst] = chosen.capacity_bps
+    delays[src, dst] = chosen.delay_s
     avg = float(delays.sum() / len(src))  # delays is 0 off the links: the sum of link * delays
     return CommPlan(link, ratio, rates, delays, avg)
 
@@ -197,20 +212,23 @@ def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
 
     # candidates come in row-major (src, dst) order, so a stable sort on
     # delay alone orders them by (delay, src, dst)
-    delay = candidates.delay_s
     ego = np.flatnonzero(candidates.dst == scenario.ego_index)
-    forced = ego[np.argsort(delay[ego], kind="stable")[:need]]
+    forced = ego[np.argsort(candidates.delay_s[ego], kind="stable")[:need]]
     extra = min(budget, len(candidates)) - need
     rest = forced[:0]  # none when the ego floor fills the budget
     if extra:
         # keep every other candidate up to the extra-th smallest delay, ties
         # included, so the stable sort below still meets them in (delay, src,
-        # dst) order; a forced link's NaN sorts last and fails "<= cut"
-        pool = delay.copy()
+        # dst) order; a forced link's NaN sorts last, past the cut
+        pool = candidates.delay_s.copy()
         pool[forced] = np.nan
-        cut = np.partition(pool, extra - 1)[extra - 1]
-        others = np.flatnonzero(pool <= cut)
-        rest = others[np.argsort(pool.take(others), kind="stable")[:extra]]
+        pool.partition(extra - 1)
+        cut = pool[extra - 1]
+        del pool
+        keep = candidates.delay_s <= cut
+        keep[forced] = False
+        others = np.flatnonzero(keep)
+        rest = others[np.argsort(candidates.delay_s.take(others), kind="stable")[:extra]]
     prefix = np.concatenate((forced, rest))
     # average of the first k links for k = need .. len(prefix); argmin keeps
     # the smallest k among equal averages
@@ -220,7 +238,8 @@ def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
     best = int(np.argmin(averages))
     if not math.isfinite(averages[best]):  # as in the oracle, an infinite average never wins
         raise InfeasibleError("no feasible link selection exists")
-    return _plan_from_selection(scenario, candidates, prefix[:need + best])
+    candidates = candidates.take(prefix[:need + best])  # the rest go before the dense plan
+    return _plan_from_selection(scenario, candidates)
 
 
 @functools.cache
@@ -297,7 +316,7 @@ def exhaustive_optimum(scenario: Scenario) -> CommPlan:
         parent, last = _level(k, level)
         selection.append(int(last[row]))
         row = int(parent[row])
-    return _plan_from_selection(scenario, candidates, selection[::-1])
+    return _plan_from_selection(scenario, candidates.take(selection[::-1]))
 
 
 def validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
@@ -351,8 +370,7 @@ def validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
     x = np.array([node.x for node in scenario.nodes])
     y = np.array([node.y for node in scenario.nodes])
     dist = np.hypot(x[s] - x[d], y[s] - y[d])
-    params = scenario.channel
-    cap = _capacity(_gain(dist, params), params)
+    cap = _capacity(dist, scenario.channel)
     over = rate > cap * (1 + rel_tol)
     scale = scenario.distance_scale_m
 

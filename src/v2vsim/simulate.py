@@ -66,6 +66,7 @@ class QualityReport:
 PLAN_CSV_HEADER = ",".join(f.name for f in fields(PlanLink))
 LINKS_HEADER = ",".join(f.name for f in fields(LinkRecord))
 REPORT_HEADER = ",".join(f.name for f in fields(QualityReport))
+PLAN_TXT_SLICE = 1 << 16  # characters of plan.txt encoded per write
 
 
 def _fmt(value) -> str:
@@ -232,8 +233,8 @@ def plan_matrix_report(plan: CommPlan) -> str:
     block("compression ratios", plan.compression, ".6f")
     block("rates (bit/s)", plan.rates, ".6g")
     block("delays (s)", plan.delays, ".9g")
-    out.append(f"average delay (s): {_fmt(plan.avg_delay_s)}")
-    return "\n".join(out) + "\n"
+    out += [f"average delay (s): {_fmt(plan.avg_delay_s)}", ""]
+    return "\n".join(out)
 
 
 def plan_csv(plan: CommPlan, scenario: Scenario) -> str:
@@ -243,7 +244,10 @@ def plan_csv(plan: CommPlan, scenario: Scenario) -> str:
 def write_plan(plan: CommPlan, scenario: Scenario, outdir: Path) -> None:
     """Write ``plan.txt`` and ``plan.csv`` into ``outdir``, creating it."""
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "plan.txt").write_bytes(plan_matrix_report(plan).encode())
+    report = plan_matrix_report(plan)
+    with open(outdir / "plan.txt", "wb") as f:  # in slices: no encoded copy of the whole
+        for k in range(0, len(report), PLAN_TXT_SLICE):
+            f.write(report[k:k + PLAN_TXT_SLICE].encode())
     (outdir / "plan.csv").write_bytes(plan_csv(plan, scenario).encode())
 
 

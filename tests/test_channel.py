@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from v2vsim.channel import (ChannelParams, Scenario, VehicleNode, _capacity,
-                            _gain, capacity_matrix)
+                            capacity_matrix)
 from v2vsim.errors import ValidationError
 from v2vsim.planner import CommPlan, validate_plan
 
@@ -29,7 +29,20 @@ def pair_distances(nodes, src, dst) -> np.ndarray:
 
 
 def pair_capacities(nodes, src, dst, params) -> np.ndarray:
-    return _capacity(_gain(pair_distances(nodes, src, dst), params), params)
+    return _capacity(pair_distances(nodes, src, dst), params)
+
+
+def gain_at(distances, params) -> np.ndarray:
+    """The path gain behind ``_capacity`` at each distance, recovered by
+    inverting the Shannon formula (exact to about 1e-14 relative)."""
+    snr = np.exp2(_capacity(np.array(distances, dtype=float), params)
+                  / params.subchannel_bandwidth_hz) - 1.0
+    return snr * params.noise_power_w / params.transmit_power_w
+
+
+def distance_at_gain(gain: float, params) -> float:
+    """The distance at which the path gain is ``gain`` (reference_gain 1)."""
+    return params.reference_distance_m * gain ** (-1.0 / params.pathloss_exponent)
 
 
 def line_scenario(distances, params) -> Scenario:
@@ -43,22 +56,27 @@ def line_scenario(distances, params) -> Scenario:
 
 class TestChannelGain:
     def test_reference_distance_gives_reference_gain(self):
-        params = make_params(pathloss_exponent=2.0)
-        assert _gain(np.array([10.0]), params).tolist() == [1.0]
+        # at the reference distance the chain's gain is exactly reference_gain
+        params = make_params(pathloss_exponent=2.0, reference_gain=0.5)
+        snr = params.transmit_power_w * params.reference_gain / params.noise_power_w
+        peak = params.subchannel_bandwidth_hz * np.log2(1.0 + snr)
+        assert _capacity(np.array([10.0]), params).tolist() == [peak]
+        assert gain_at([10.0], params)[0] == pytest.approx(0.5, rel=1e-12)
 
     def test_double_distance_square_law(self):
         params = make_params(pathloss_exponent=2.0)
-        assert _gain(np.array([20.0]), params)[0] == pytest.approx(0.25, rel=1e-12)
+        assert gain_at([20.0], params)[0] == pytest.approx(0.25, rel=1e-12)
 
     def test_closed_form_at_37_5_m(self):
         # (10 / 37.5) ** 2.7, evaluated independently once
         params = make_params()
-        assert _gain(np.array([37.5]), params)[0] == pytest.approx(
+        assert gain_at([37.5], params)[0] == pytest.approx(
             0.028191330765839375, rel=1e-12)
 
     def test_clamps_below_reference_distance(self):
         params = make_params()
-        assert _gain(np.array([2.0, 0.0, 9.999]), params).tolist() == [1.0] * 3
+        at_reference = _capacity(np.array([10.0]), params)[0]
+        assert _capacity(np.array([2.0, 0.0, 9.999]), params).tolist() == [at_reference] * 3
 
     def test_same_node_rejected(self):
         # a node paired with itself gets no capacity, even at the reference
@@ -66,7 +84,7 @@ class TestChannelGain:
         params = make_params()
         s = line_scenario([0.0, 5.0], params)
         caps = capacity_matrix(s)
-        assert caps[1, 0] == _capacity(np.array([1.0]), params)[0] > 0
+        assert caps[1, 0] == _capacity(np.array([0.0]), params)[0] > 0
         assert caps.diagonal().tolist() == [0.0, 0.0, 0.0]
         link = np.zeros((3, 3), dtype=int)
         link[1, 0] = link[1, 1] = 1
@@ -77,34 +95,35 @@ class TestChannelGain:
     @given(d1=st.floats(0.0, 500.0), d2=st.floats(0.0, 500.0))
     def test_monotone_in_distance(self, d1, d2):
         params = make_params()
-        g_near, g_far = _gain(np.array(sorted((d1, d2))), params)
-        assert g_far <= g_near <= params.reference_gain
-        assert g_far > 0
+        c_near, c_far = _capacity(np.array(sorted((d1, d2))), params)
+        assert c_far <= c_near <= _capacity(np.array([0.0]), params)[0]
+        assert c_far > 0
 
 
 class TestLinkCapacity:
     def test_zero_gain_zero_capacity(self):
-        assert _capacity(np.array([0.0]), make_params()).tolist() == [0.0]
+        # an infinitely distant node has gain 0
+        assert _capacity(np.array([math.inf]), make_params()).tolist() == [0.0]
 
     def test_snr_three_doubles_bandwidth(self):
-        # (10e6 / 2) * log2(1 + 3) = 10 Mbit/s
+        # (10e6 / 2) * log2(1 + 3) = 10 Mbit/s at gain 1
         params = make_params(total_bandwidth_hz=10e6, num_subchannels=2,
                              transmit_power_w=3.0, noise_level=1.0)
-        assert _capacity(np.array([1.0]), params)[0] == pytest.approx(10e6, rel=1e-12)
+        assert _capacity(np.array([0.0]), params)[0] == pytest.approx(10e6, rel=1e-12)
 
     def test_closed_form_at_50_m(self):
         params = make_params()
-        gain = _gain(np.array([50.0]), params)
-        assert gain[0] == pytest.approx(0.012965252773542098, rel=1e-12)
+        assert gain_at([50.0], params)[0] == pytest.approx(0.012965252773542098, rel=1e-12)
         cap = capacity_matrix(line_scenario([50.0], params))[1, 0]
-        assert cap == _capacity(gain, params)[0]
+        assert cap == _capacity(np.array([50.0]), params)[0]
         assert cap == pytest.approx(106531097.2963636, rel=1e-12)
 
     @given(h1=st.floats(1e-9, 1.0), h2=st.floats(1e-9, 1.0))
     def test_strictly_increasing_in_gain(self, h1, h2):
         params = make_params()
         lo, hi = sorted((h1, h2))
-        c_lo, c_hi = _capacity(np.array([lo, hi]), params)
+        c_lo, c_hi = _capacity(np.array([distance_at_gain(lo, params),
+                                         distance_at_gain(hi, params)]), params)
         assert c_hi >= c_lo
         if hi > lo * (1 + 1e-9):
             assert c_hi > c_lo
@@ -115,8 +134,9 @@ class TestLinkCapacity:
                           noise_mode="psd-times-subband")
         literal = make_params(num_subchannels=1, noise_level=1e-15 * 20e6,
                               noise_mode="literal-power")
-        gains = np.array([1.0, 0.3, 0.01])
-        assert _capacity(gains, psd) == pytest.approx(_capacity(gains, literal), rel=1e-12)
+        distances = np.array([10.0, 15.6, 55.0])
+        assert _capacity(distances, psd) == pytest.approx(_capacity(distances, literal),
+                                                          rel=1e-12)
 
     def test_capacity_never_increases_with_distance(self):
         caps = capacity_matrix(line_scenario([5.0, 10.0, 20.0, 40.0, 80.0, 160.0],
@@ -196,6 +216,25 @@ class TestValidation:
     def test_bad_channel_params(self, field, value):
         with pytest.raises(ValidationError):
             make_params(**{field: value})
+
+    @pytest.mark.parametrize("overrides", [
+        {"noise_level": 1e-320},  # P * g_ref / N overflows in the divide
+        {"noise_level": 5e-324},
+        {"transmit_power_w": 1e308, "noise_level": 1e-9},
+        {"transmit_power_w": 1e308, "reference_gain": 10.0},  # P * g_ref itself overflows
+        {"total_bandwidth_hz": 1e308},  # (W / c) * log2(1 + snr) overflows
+        # the noise density times the sub-band underflows to 0
+        {"noise_level": 1e-320, "noise_mode": "psd-times-subband", "total_bandwidth_hz": 1e-5},
+    ])
+    def test_overflowing_peak_capacity_rejected(self, overrides):
+        with pytest.raises(ValidationError, match="peak SNR"):
+            make_params(**overrides)
+
+    def test_finite_peak_capacity_accepted_without_warnings(self):
+        # a peak SNR of 2e307 is accepted, and every capacity is finite
+        params = make_params(noise_level=1e-308)
+        caps = capacity_matrix(line_scenario([0.0, 10.0, 1e5], params))
+        assert np.isfinite(caps).all() and caps[1, 0] == caps.max() > 5e9
 
     def test_scenario_rejects_duplicate_ids(self, basic_params):
         with pytest.raises(ValidationError):

@@ -4,7 +4,9 @@ of the symbol counts that rate control prices its steps from.
 Every input ends in a result or in the reader's documented typed error:
 ``ValidationError`` for frame containers and scenario files (exit 2 in the
 CLI), ``ImageFormatError`` for PGM/PPM files (exit 4).  Anything else would
-reach the user as a traceback.
+reach the user as a traceback.  A scenario that parses is also planned: it
+gives a valid plan with finite rates or ``InfeasibleError`` (exit 3), with no
+numeric warning on the way.
 """
 
 import contextlib
@@ -23,8 +25,9 @@ from v2vsim.cli import main
 from v2vsim.codec import (QUANT_STEP_GRID, CodecConfig, EntropyModel,
                           _window_counts, decode, deserialize_frame, encode,
                           serialize_frame)
-from v2vsim.errors import ImageFormatError, ParseError, ValidationError
+from v2vsim.errors import ImageFormatError, InfeasibleError, ParseError, ValidationError
 from v2vsim.image_io import read_image, write_image
+from v2vsim.planner import _candidates, exhaustive_optimum, optimize, validate_plan
 from v2vsim.scenario_io import format_scenario, parse_scenario_document
 from v2vsim.synth import random_scenario, sine_image
 
@@ -136,8 +139,12 @@ def test_symbol_counts_equal_bincount(case):
 
 
 SCENARIO_LINES = format_scenario(random_scenario(3), {0: "a.pgm"}).splitlines()
+KEY_LINE = {line.split()[0]: k for k, line in enumerate(SCENARIO_LINES) if line}
+# 1e308, 1e-320 and 5e-324 parse, and overflow a channel that does not check
+# its peak capacity
 TOKENS = st.one_of(st.sampled_from(["0", "1", "-1", "2", "0.5", "1e309", "-1e309",
                                     "nan", "inf", "1e-400", "99999999999999999999",
+                                    "1e308", "1e-320", "5e-324",
                                     "x", "#", "a.pgm", "volumes", "end"]),
                    st.text(max_size=8))
 LINE = st.one_of(
@@ -150,6 +157,11 @@ LINE = st.one_of(
 
 @FUZZ
 @given(index=st.integers(0, len(SCENARIO_LINES) - 1), line=LINE)
+@example(index=KEY_LINE["noise"], line="noise 1e-320")
+@example(index=KEY_LINE["tx_power_w"], line="tx_power_w 1e308")
+@example(index=KEY_LINE["bandwidth_hz"], line="bandwidth_hz 1e308")
+@example(index=KEY_LINE["noise"], line="noise 5e-324")
+@example(index=KEY_LINE["distance_scale_m"], line="distance_scale_m 1e-320")
 def test_scenario_line_replaced(index, line):
     lines = list(SCENARIO_LINES)
     lines[index] = line
@@ -157,7 +169,22 @@ def test_scenario_line_replaced(index, line):
         doc = parse_scenario_document("\n".join(lines) + "\n")
     except ValidationError:
         return
-    assert doc.scenario.data_volumes_bits.shape == (len(doc.scenario.nodes),) * 2
+    s = doc.scenario
+    assert s.data_volumes_bits.shape == (len(s.nodes),) * 2
+    try:
+        plan = optimize(s)
+    except InfeasibleError:
+        plan = None
+    else:
+        assert validate_plan(plan, s) == []
+        assert np.isfinite(plan.rates).all() and math.isfinite(plan.avg_delay_s)
+    if len(_candidates(s)) <= 20:
+        try:
+            oracle = exhaustive_optimum(s)
+        except InfeasibleError:
+            assert plan is None
+        else:
+            assert math.isclose(plan.avg_delay_s, oracle.avg_delay_s, rel_tol=1e-12)
 
 
 VOLUME_HEAD = ["version 1", "bandwidth_hz 20e6", "subchannels 1", "tx_power_w 0.2",

@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import itertools
 import math
 import runpy
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,14 +14,15 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 import v2vsim.planner
-from v2vsim.channel import (ChannelParams, Scenario, VehicleNode, _capacity, _gain,
+from v2vsim.channel import (ChannelParams, Scenario, VehicleNode, _capacity,
                             capacity_matrix)
 from v2vsim.errors import InfeasibleError, SizeError, ValidationError
-from v2vsim.planner import (Candidates, CommPlan, _candidates, _check_feasible, _level,
-                            _plan_from_selection, _ratio_floor, average_delay,
+from v2vsim.planner import (GAMMA_MIN, Candidates, CommPlan, _candidates,
+                            _check_feasible, _level, _plan_from_selection, average_delay,
                             compression_lower_bound,
                             exhaustive_optimum, optimize,
                             validate_plan)
+from v2vsim.simulate import plan_matrix_report
 from v2vsim.synth import random_scenario
 
 
@@ -222,7 +225,7 @@ def full_sort_plan(scenario: Scenario) -> CommPlan:
     averages = (np.cumsum(c.delay_s[prefix])[need - 1:]
                 / np.arange(need, len(prefix) + 1))
     size = need + int(np.argmin(averages))
-    return _plan_from_selection(scenario, c, prefix[:size])
+    return _plan_from_selection(scenario, c.take(prefix[:size]))
 
 
 def forced_first_fleet() -> Scenario:
@@ -357,7 +360,7 @@ def reference_exhaustive_optimum(scenario: Scenario) -> CommPlan:
                 best_sel, best_avg = combo, avg
     if best_sel is None:
         raise InfeasibleError("no feasible link selection exists")
-    return _plan_from_selection(scenario, candidates, list(best_sel))
+    return _plan_from_selection(scenario, candidates.take(list(best_sel)))
 
 
 def oracle_outcome(oracle, scenario: Scenario):
@@ -558,17 +561,72 @@ class TestOverflowingDelays:
         assert plan.avg_delay_s == 7.043443687129068e+307
 
 
+def reference_distance_matrix(scenario: Scenario) -> np.ndarray:
+    """``Scenario.distance_matrix`` as it was written before its in-place
+    ``hypot``: broadcast x and y differences, then a fresh ``np.hypot``."""
+    x = np.array([node.x for node in scenario.nodes])
+    y = np.array([node.y for node in scenario.nodes])
+    with np.errstate(over="ignore"):
+        return np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+
+
+def reference_gain(distances: np.ndarray, params: ChannelParams) -> np.ndarray:
+    """The path gain as the separate gain helper computed it."""
+    d0 = params.reference_distance_m
+    return params.reference_gain * np.power(d0 / np.maximum(distances, d0),
+                                            params.pathloss_exponent)
+
+
+def reference_capacity_matrix(scenario: Scenario, distances: np.ndarray) -> np.ndarray:
+    """``capacity_matrix`` as the expressions of the separate gain and
+    capacity helpers, one temporary array per operation."""
+    params = scenario.channel
+    snr = params.transmit_power_w * reference_gain(distances, params) / params.noise_power_w
+    caps = params.subchannel_bandwidth_hz * np.log2(1.0 + snr)
+    np.fill_diagonal(caps, 0.0)
+    return caps
+
+
 def reference_candidates(scenario: Scenario) -> Candidates:
-    """_candidates by a 2-D ``np.nonzero`` and three 2-D fancy gathers."""
-    dists = scenario.distance_matrix()
-    caps = capacity_matrix(scenario, dists)
+    """_candidates from the reference matrices, by a 2-D ``np.nonzero`` and
+    three 2-D fancy gathers, with the ratio floors and the delays as fresh
+    expressions."""
+    dists = reference_distance_matrix(scenario)
+    caps = reference_capacity_matrix(scenario, dists)
     src, dst = np.nonzero(caps > 0.0)
     cap = caps[src, dst]
     dist = dists[src, dst]
-    floor = _ratio_floor(dist, scenario.beta, scenario.distance_scale_m)
+    floor = np.maximum(scenario.beta * np.exp(-dist / scenario.distance_scale_m), GAMMA_MIN)
     with np.errstate(over="ignore"):
         delay = floor * scenario.data_volumes_bits[src, dst] / cap
     return Candidates(src, dst, cap, dist, floor, delay)
+
+
+def reference_optimize(scenario: Scenario) -> CommPlan:
+    """optimize on reference_candidates, with its former pool scan: the
+    forced links are NaN in a copy of the delays, ``np.partition`` of that
+    copy gives the cut, and ``pool <= cut`` picks the others."""
+    c = reference_candidates(scenario)
+    _check_feasible(scenario, c)
+    budget, need = scenario.channel.num_subchannels, scenario.min_ego_links
+    delay = c.delay_s
+    ego = np.flatnonzero(c.dst == scenario.ego_index)
+    forced = ego[np.argsort(delay[ego], kind="stable")[:need]]
+    extra = min(budget, len(c)) - need
+    rest = forced[:0]
+    if extra:
+        pool = delay.copy()
+        pool[forced] = np.nan
+        cut = np.partition(pool, extra - 1)[extra - 1]
+        others = np.flatnonzero(pool <= cut)
+        rest = others[np.argsort(pool.take(others), kind="stable")[:extra]]
+    prefix = np.concatenate((forced, rest))
+    with np.errstate(over="ignore"):
+        averages = np.cumsum(delay[prefix])[need - 1:] / np.arange(need, len(prefix) + 1)
+    best = int(np.argmin(averages))
+    if not math.isfinite(averages[best]):
+        raise InfeasibleError("no feasible link selection exists")
+    return _plan_from_selection(scenario, c.take(prefix[:need + best]))
 
 
 def perfbench_like_fleet(rng, n: int, subchannels: int, half_width_m: float) -> Scenario:
@@ -591,6 +649,35 @@ def perfbench_like_fleet(rng, n: int, subchannels: int, half_width_m: float) -> 
                     min_ego_links=int(min(rng.integers(1, 3), subchannels, n - 1)))
 
 
+def beyond_float_range_fleet() -> Scenario:
+    """The ego and node 1 2e308 m apart: their distance is inf."""
+    params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=2,
+                           transmit_power_w=0.2, noise_level=1e-9)
+    return Scenario(nodes=[VehicleNode(0, -1e308, 0.0), VehicleNode(1, 1e308, 0.0),
+                           VehicleNode(2, 0.0, 5.0), VehicleNode(3, 1e308, 8.0)],
+                    ego_id=1, data_volumes_bits=1e6 * (1 - np.eye(4)),
+                    channel=params, beta=0.5, min_ego_links=1)
+
+
+@functools.cache
+def byte_check_fleets() -> tuple[Scenario, ...]:
+    """Fleets on which the in-place candidate and plan passes must equal the
+    reference expressions byte for byte."""
+    rng = np.random.default_rng(150)
+    fleets = [random_scenario(seed, 5, 4) for seed in range(500)]
+    fleets += [perfbench_like_fleet(rng, 150, 16, 500.0) for _ in range(3)]
+    fleets += [perfbench_like_fleet(rng, 150, 12, 150.0) for _ in range(3)]
+    fleets += [perfbench_like_fleet(rng, 300, 12, 500.0)]
+    fleets += [far_apart_fleet(), overflow_fleet(*ALL_OVERFLOW),
+               overflow_fleet(1e-300, [[0, 1e10, 1e6], [1e6, 0, 1e10], [1e10, 1e6, 0]]),
+               overflow_fleet(1e-299, 1e10 * (1 - np.eye(3)), beta=0.8),
+               beyond_float_range_fleet()]
+    # 90% idle pairs: hundreds of zero delays tie at the cut
+    fleets += [random_fleet(np.random.default_rng(k), 60, 8, 0.9, need) for k, need
+               in enumerate((1, 2, 3))]
+    return tuple(fleets)
+
+
 def far_apart_fleet() -> Scenario:
     """Two pairs 1e11 m apart: across the gap the gain is about 1e-27, so
     ``1 + snr`` rounds to 1 and the capacity is exactly 0."""
@@ -608,21 +695,44 @@ def far_apart_fleet() -> Scenario:
 def test_candidates_equal_the_2d_gather_bit_for_bit():
     far = far_apart_fleet()
     across = far.distance_matrix()[:2, 2:]
-    assert (_gain(across, far.channel) > 0).all()
+    assert (reference_gain(across, far.channel) > 0).all()
     assert (capacity_matrix(far)[:2, 2:] == 0).all()
     assert len(_candidates(far)) == 4  # only the two links within each pair
 
-    rng = np.random.default_rng(150)
-    fleets = [random_scenario(seed, 5, 4) for seed in range(500)]
-    fleets += [perfbench_like_fleet(rng, 150, 16, 500.0) for _ in range(3)]
-    fleets += [perfbench_like_fleet(rng, 150, 12, 150.0) for _ in range(3)]
-    fleets += [far, overflow_fleet(*ALL_OVERFLOW),
-               overflow_fleet(1e-300, [[0, 1e10, 1e6], [1e6, 0, 1e10], [1e10, 1e6, 0]])]
-    for k, s in enumerate(fleets):
+    for k, s in enumerate(byte_check_fleets()):
         got, want = _candidates(s), reference_candidates(s)
         for field in ("src", "dst", "capacity_bps", "distance_m", "ratio_floor", "delay_s"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, field)
+
+
+def test_optimize_equals_the_reference_scan_bit_for_bit():
+    infeasible = 0
+    for k, s in enumerate(byte_check_fleets()):
+        got = oracle_outcome(optimize, s)
+        assert got == oracle_outcome(reference_optimize, s), k
+        if got[0] is InfeasibleError:
+            infeasible += 1
+            continue
+        plan, ref = optimize(s), reference_optimize(s)
+        for name in ("link_matrix", "compression", "rates", "delays"):
+            assert getattr(plan, name).dtype == getattr(ref, name).dtype, (k, name)
+        assert plan_matrix_report(plan) == plan_matrix_report(ref), k
+    assert 0 < infeasible < len(byte_check_fleets()) // 2
+
+
+def test_optimize_working_set_at_300_nodes():
+    # the six candidate arrays plus one partitioned copy of the delays; the
+    # distance and capacity matrices and the candidates are dropped in turn
+    s = perfbench_like_fleet(np.random.default_rng(300), 300, 12, 500.0)
+    optimize(s)
+    tracemalloc.start()
+    try:
+        optimize(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.5 * 300 * 300 * 8
 
 
 def test_selected_links_are_python_ints_in_row_major_order():
@@ -756,9 +866,9 @@ class TestPlanProperties:
 
 
 def reference_validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
-    """validate_plan as a per-link loop: each selected link's distance, gain
-    and capacity from one scalar NumPy call each, as the deleted
-    ``VehicleNode.distance_to``, ``channel_gain`` and ``link_capacity`` did.
+    """validate_plan as a per-link loop: each selected link's distance from a
+    scalar ``np.hypot`` and its capacity from a one-element ``_capacity``
+    call, as the deleted ``VehicleNode.distance_to`` and ``link_capacity`` did.
     It checks only the link matrix's shape."""
     rel_tol = 1e-9
     issues: list[str] = []
@@ -794,7 +904,7 @@ def reference_validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
             continue
         a, b = nodes[i], nodes[j]
         dist = float(np.hypot(a.x - b.x, a.y - b.y))
-        cap = float(_capacity(float(_gain(dist, params)), params))
+        cap = float(_capacity(np.array([dist]), params)[0])
         if rate > cap * (1 + rel_tol):
             issues.append(
                 f"link ({i},{j}): rate {rate:.6g} exceeds capacity {cap:.6g}")

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -23,8 +24,9 @@ from v2vsim.image_io import read_image, write_image
 from v2vsim.metrics import mse, psnr
 from v2vsim.planner import CommPlan, optimize, validate_plan
 from v2vsim.scenario_io import format_scenario
-from v2vsim.simulate import (LINKS_HEADER, PLAN_CSV_HEADER, REPORT_HEADER, _fmt,
-                             manifest_for, plan_matrix_report, simulate, write_outputs)
+from v2vsim.simulate import (LINKS_HEADER, PLAN_CSV_HEADER, PLAN_TXT_SLICE, REPORT_HEADER,
+                             _fmt, manifest_for, plan_matrix_report, simulate,
+                             write_outputs, write_plan)
 from v2vsim.synth import sine_image
 
 from images import gradient_image
@@ -293,6 +295,42 @@ class TestPlanMatrixReportBytes:
         assert plan_matrix_report(plan) == reference_matrix_report(plan)
 
 
+class TestWritePlan:
+    """plan.txt is plan_matrix_report's text, encoded one slice at a time."""
+
+    def test_report_longer_than_one_slice(self, tmp_path):
+        s = random_fleet(150, 16, seed=150)
+        plan = optimize(s)
+        report = plan_matrix_report(plan)
+        assert len(report) > 3 * PLAN_TXT_SLICE and len(report) % PLAN_TXT_SLICE
+        write_plan(plan, s, tmp_path)
+        assert (tmp_path / "plan.txt").read_bytes() == report.encode()
+
+    def test_two_node_plan(self, tmp_path):
+        s = two_node(1e6)
+        plan = optimize(s)
+        write_plan(plan, s, tmp_path)
+        data = (tmp_path / "plan.txt").read_bytes()
+        assert data == plan_matrix_report(plan).encode() == reference_matrix_report(plan).encode()
+        assert data.endswith(b"\n") and not data.endswith(b"\n\n")
+
+    def test_plan_command_working_set_at_150_nodes(self, tmp_path, capsys):
+        # the scenario's volumes plus about 7 n x n arrays while planning;
+        # the text of the scenario is dropped before planning
+        s = random_fleet(150, 16, seed=150)
+        path = tmp_path / "fleet.scn"
+        path.write_text(format_scenario(s))
+        argv = ["plan", "--scenario", str(path), "--outdir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 150 * 150 * 8
+
+
 @pytest.fixture
 def scenario_dir(tmp_path):
     img1 = gradient_image()
@@ -313,6 +351,20 @@ class TestCli:
         assert (scenario_dir / "out" / "plan.txt").exists()
         assert (scenario_dir / "out" / "plan.csv").exists()
         assert "average delay" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    @pytest.mark.parametrize("key,value", [("noise", "1e-320"), ("tx_power_w", "1e308"),
+                                           ("bandwidth_hz", "1e308")])
+    def test_overflowing_channel_exits_2(self, scenario_dir, capsys, command, key, value):
+        # every capacity would be inf, every delay 0
+        path = scenario_dir / "scene.scn"
+        lines = [f"{key} {value}" if line.split()[:1] == [key] else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        rc = main([command, "--scenario", str(path), "--outdir", str(scenario_dir / "out")])
+        assert rc == 2
+        assert "peak SNR (P * g_ref / N) and capacity must be finite" in capsys.readouterr().err
+        assert not (scenario_dir / "out").exists()
 
     def test_oracle_command(self, scenario_dir):
         rc = main(["oracle", "--scenario", str(scenario_dir / "scene.scn"),
