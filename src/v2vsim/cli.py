@@ -42,11 +42,11 @@ def _codec_config(args) -> CodecConfig:
 
 def _load_scenario(path: str):
     # utf-8-sig drops the byte-order mark some editors put first
-    text = Path(path).read_text(encoding="utf-8-sig", errors="surrogateescape")
     try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:  # the first undecodable byte, kept as a surrogate
-        line_no = len((text[:exc.start] + "?").splitlines())  # as the parser numbers lines
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object holds the bytes, from the first after any mark
+        head = exc.object[:exc.start].decode("utf-8")
+        line_no = len((head + "?").splitlines())  # as the parser numbers lines
         raise ParseError(line_no, "not valid UTF-8") from None
     return text, parse_scenario_document(text)
 

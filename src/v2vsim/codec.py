@@ -21,6 +21,18 @@ at every grid step.  Each step it tries is priced from the symbol counts of
 that sorted copy, over the symbols it occupies, plus symbol 0 for each
 coefficient left out; only the step it returns is quantized and priced in
 full.
+
+Each stage drops every frame-sized array it no longer needs before it
+allocates the next.  Counted in float64 arrays the size of the padded frame
+(int64 symbols count the same), at their peak: ``encode`` and
+``rate_control`` hold 4 (the coefficients, the int64 symbols, and pricing's
+index and cost arrays; the quotient and the sorted copy are gone by then),
+``deserialize_frame`` 3 (the symbols and pricing's two; the payload is read
+through a view), ``decode`` 2 (the dequantized array, which the inverse
+transform's column pass overwrites, and the row pass's product), and
+``refine_model`` 2 over any number of frames (the transform's two; the
+coefficients are rounded in place, then their int64 symbols clipped and
+shifted in place, and neither is held into the next frame).
 """
 
 from __future__ import annotations
@@ -104,9 +116,6 @@ class EntropyModel:
         freq = ((radius + 1.0) / (1.0 + symbols)) ** GENERIC_DECAY_POWER
         return cls(freq, radius, model_id=f"generic-r{radius}")
 
-    def clip_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        return np.clip(symbols, -self.radius, self.radius)
-
     def bits_for_symbols(self, symbols: np.ndarray) -> float:
         """Estimated bits: sum of -log2 p over (alphabet-clipped) symbols."""
         idx = np.asarray(symbols).astype(np.int64, copy=False) + self.radius
@@ -156,18 +165,22 @@ def _right_factor(block: int, channels: int, forward: bool) -> np.ndarray:
     return right
 
 
-def _blockwise(x: np.ndarray, block: int, forward: bool) -> np.ndarray:
+def _blockwise(x: np.ndarray, block: int, forward: bool, out: np.ndarray) -> np.ndarray:
     """Block DCT (``(C @ tile) @ C.T``) or its inverse (``(C.T @ tile) @ C``)
-    of every block x block tile over the first two axes; a trailing channel
-    axis is kept.  ``C`` times each block row contracts the row index, then
-    the (-1, block * channels) view times ``C.T`` (``kron(C.T, I)`` for
-    interleaved channels) the column index: the per-tile sums in the same
-    order, kron's zeros adding exactly (fma(0, x, acc) = acc for finite x)."""
+    of every block x block tile over the first two axes, written into ``out``
+    (a C-contiguous float64 array shaped like ``x``, which may be ``x``
+    itself) and returned; a trailing channel axis is kept.  ``C`` times each
+    block row contracts the row index, then the (-1, block * channels) view
+    times ``C.T`` (``kron(C.T, I)`` for interleaved channels) the column
+    index: the per-tile sums in the same order, kron's zeros adding exactly
+    (fma(0, x, acc) = acc for finite x)."""
     h, w = x.shape[:2]
     ch = 1 if x.ndim == 2 else x.shape[2]
     c = _dct_basis(block) if forward else _dct_basis(block).T
     rows = c @ x.reshape(h // block, block, w * ch)
-    return (rows.reshape(-1, block * ch) @ _right_factor(block, ch, forward)).reshape(x.shape)
+    np.matmul(rows.reshape(-1, block * ch), _right_factor(block, ch, forward),
+              out=out.reshape(-1, block * ch))
+    return out
 
 
 def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
@@ -179,13 +192,14 @@ def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
     h, w = arr.shape[:2]
     pad = ((0, (-h) % block), (0, (-w) % block)) + ((0, 0),) * (arr.ndim - 2)
     padded = np.pad(arr, pad, mode="edge") if h % block or w % block else arr
-    return arr, _blockwise(padded, block, forward=True)
+    return arr, _blockwise(padded, block, True, np.empty(padded.shape))
 
 
 def _quantize_and_price(arr: np.ndarray, coeffs: np.ndarray, step: float,
                         block: int, em: EntropyModel) -> EncodedFrame:
     scaled = coeffs / step
     q = np.rint(scaled, out=scaled).astype(np.int64)
+    del scaled  # before pricing allocates its index and cost arrays
     return EncodedFrame(qcoeffs=q, quant_step=step, model_id=em.model_id,
                         bit_count=em.bits_for_symbols(q),
                         height=arr.shape[0], width=arr.shape[1],
@@ -209,7 +223,8 @@ def decode(frame: EncodedFrame) -> np.ndarray:
         raise ValidationError(
             f"coefficient layout {q.shape[:2]} does not match padded dims {expected_pad}")
     with np.errstate(over="ignore", invalid="ignore"):
-        rec = _blockwise(q * frame.quant_step, frame.block_size, forward=False)
+        rec = np.multiply(q, frame.quant_step, order="C")
+        _blockwise(rec, frame.block_size, False, out=rec)  # the column pass overwrites rec
     if not np.all(np.isfinite(rec)):
         raise ValidationError(
             f"reconstruction is not finite at quantization step {frame.quant_step}")
@@ -312,6 +327,7 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
             hi = mid
         else:
             lo = mid + 1
+    del ordered  # before the chosen step is quantized and priced
     return float(grid[hi]), exact(hi)
 
 
@@ -328,9 +344,13 @@ def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
     counts = np.zeros(2 * em.radius + 1)
     for raw in raw_frames:
         _, coeffs = _transform(raw, cfg.block_size)
-        q = np.round(coeffs / cfg.quant_step).astype(np.int64)
-        symbols = em.clip_symbols(q) + em.radius
-        counts += np.bincount(symbols.ravel(), minlength=2 * em.radius + 1)
+        np.round(np.divide(coeffs, cfg.quant_step, out=coeffs), out=coeffs)
+        q = coeffs.astype(np.int64)
+        del coeffs
+        np.clip(q, -em.radius, em.radius, out=q)
+        q += em.radius
+        counts += np.bincount(q.ravel(), minlength=2 * em.radius + 1)
+        del q  # neither array is held through the next frame's transform
     return EntropyModel(counts + SMOOTHING, em.radius,
                         model_id=f"refined-n{len(raw_frames)}-q{cfg.quant_step:g}")
 
@@ -386,7 +406,7 @@ def deserialize_frame(data: bytes, em: EntropyModel | None = None) -> EncodedFra
         model_id = data[24:24 + id_len].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"model id is not valid UTF-8: {exc}") from None
-    payload = data[24 + id_len:]
+    payload = memoryview(data)[24 + id_len:]  # a view, not a copy of the coefficients
     expected = pad_h * pad_w * channels * 2
     if len(payload) != expected:
         raise ValidationError(

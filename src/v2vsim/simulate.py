@@ -167,7 +167,8 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
             raise ValidationError(f"link {link.src}->{link.dst}: source node has no image")
         try:
             step, frame = rate_control(src_img, link.ratio, em, codec_cfg)
-            recon = decode(frame)
+            bits, recon = frame.bit_count, decode(frame)
+            del frame  # only its bit count is used from here
             if link.dst == ego_id and align_alpha > 0 and link.src != ego_id:
                 recon = align(recon, ego_image, align_alpha)
             with warnings.catch_warnings():
@@ -179,11 +180,12 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
             raise
         pixels = src_img.shape[0] * src_img.shape[1]
         err = mse(src_img, recon)
+        del recon  # not held through the next link's rate control
         records.append(LinkRecord(
-            **asdict(link), quant_step=step, bits=frame.bit_count,
-            bpp=frame.bit_count / pixels, psnr_db=psnr_of_mse(err),
+            **asdict(link), quant_step=step, bits=bits,
+            bpp=bits / pixels, psnr_db=psnr_of_mse(err),
             ms_ssim=quality, mse=err))
-        total_bits += frame.bit_count
+        total_bits += bits
         total_pixels += pixels
 
     report = QualityReport(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -54,6 +55,11 @@ def reference_blockwise(x: np.ndarray, block: int, forward: bool) -> np.ndarray:
     # (rows, i, cols, j, channel) -> (channel, rows, cols, i, j)
     tiles = x.reshape(h // block, block, w // block, block, -1).transpose(4, 0, 2, 1, 3)
     return (c @ tiles @ c.T).transpose(1, 3, 2, 4, 0).reshape(x.shape)
+
+
+def blockwise(x: np.ndarray, block: int, forward: bool) -> np.ndarray:
+    """``codec._blockwise`` into a fresh output array."""
+    return codec._blockwise(x, block, forward, np.empty(x.shape))
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -140,7 +146,7 @@ class TestEncodeDecode:
                 tiles = x.reshape(3, block, 2, block, -1)
                 for forward, ref in ((True, dctn), (False, idctn)):
                     expected = ref(tiles, axes=(1, 3), norm="ortho").reshape(shape)
-                    got = codec._blockwise(x, block, forward)
+                    got = blockwise(x, block, forward)
                     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
         # quantized coefficients and bits equal those of a SciPy transform
         for block in (8, 16):
@@ -233,7 +239,7 @@ class TestBlockwise:
             coeffs = np.round(rng.normal(scale=40.0, size=shape)) * 0.0371
             for forward, x in ((True, image), (False, coeffs)):
                 for view in (x, x[::-1], np.asfortranarray(x)):
-                    got = codec._blockwise(view, block, forward)
+                    got = blockwise(view, block, forward)
                     assert same_bits(got, reference_blockwise(view, block, forward)), (
                         shape, forward, view.flags.c_contiguous)
 
@@ -256,17 +262,30 @@ class TestBlockwise:
 
     def test_column_factor_built_once_and_read_only(self, monkeypatch):
         x = np.random.default_rng(7).random((16, 24, 3))
-        first = codec._blockwise(x, 8, True), codec._blockwise(x, 8, False)
+        first = blockwise(x, 8, True), blockwise(x, 8, False)
 
         def no_kron(*args, **kwargs):
             raise AssertionError("np.kron called again for a cached factor")
 
         monkeypatch.setattr(np, "kron", no_kron)
         for forward, before in zip((True, False), first):
-            assert same_bits(codec._blockwise(x, 8, forward), before)
+            assert same_bits(blockwise(x, 8, forward), before)
             assert same_bits(before, reference_blockwise(x, 8, forward))
             for ch in (1, 3):
                 assert not codec._right_factor(8, ch, forward).flags.writeable
+
+    @pytest.mark.parametrize("block", [1, 3, 8, 16])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_output_may_be_the_input(self, block, channels):
+        # decode writes the column pass into its dequantized array, which the
+        # row pass has already read
+        shape = (4 * block, 3 * block) if channels == 1 else (4 * block, 3 * block, channels)
+        x = np.random.default_rng(block + channels).random(shape)
+        for forward in (True, False):
+            fresh = blockwise(x, block, forward)
+            inout = x.copy()
+            assert codec._blockwise(inout, block, forward, inout) is inout
+            assert same_bits(inout, fresh)
 
     def test_divisible_sides_skip_padding_with_same_coefficients(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -359,9 +378,9 @@ class TestRateControl:
         real = codec._blockwise
         calls = []
 
-        def counting_blockwise(x, block, forward):
+        def counting_blockwise(x, block, forward, out):
             calls.append(forward)
-            return real(x, block, forward)
+            return real(x, block, forward, out)
 
         for img in (codec_fixture_images()[1], rgb_fixture()):
             calls.clear()
@@ -603,7 +622,8 @@ class TestRefinement:
         cfg = CodecConfig(quant_step=0.02)
         counts = np.zeros(2 * generic.radius + 1)
         for frame in frames:
-            symbols = generic.clip_symbols(encode(frame, cfg, generic).qcoeffs)
+            symbols = np.clip(encode(frame, cfg, generic).qcoeffs,
+                              -generic.radius, generic.radius)
             counts += np.bincount(symbols.ravel() + generic.radius,
                                   minlength=counts.size)
 
@@ -752,3 +772,124 @@ class TestSerialization:
         for q in (np.asfortranarray(frame.qcoeffs), frame.qcoeffs.astype(np.int32)):
             assert serialize_frame(dataclasses.replace(frame, qcoeffs=q)) == blob
         assert len(blob) == 24 + len(frame.model_id) + 2 * frame.qcoeffs.size
+
+
+def reference_decode(frame: EncodedFrame) -> np.ndarray:
+    """``decode`` with a fresh array at each step: the dequantized copy, both
+    gemms' products, and the clipped crop (no finiteness check)."""
+    q, block = frame.qcoeffs, frame.block_size
+    x = q * frame.quant_step
+    h, w = x.shape[:2]
+    ch = 1 if x.ndim == 2 else x.shape[2]
+    rows = codec._dct_basis(block).T @ x.reshape(h // block, block, w * ch)
+    rec = (rows.reshape(-1, block * ch) @ codec._right_factor(block, ch, False)).reshape(x.shape)
+    return np.clip(rec[:frame.height, :frame.width], 0.0, 1.0)
+
+
+def reference_refine_model(em: EntropyModel, raw_frames, cfg: CodecConfig) -> EntropyModel:
+    """``refine_model`` with a fresh array for the quotient, the rounding,
+    the int64 symbols, the clipped ones and the shifted ones."""
+    counts = np.zeros(2 * em.radius + 1)
+    for raw in raw_frames:
+        _, coeffs = codec._transform(raw, cfg.block_size)
+        q = np.round(coeffs / cfg.quant_step).astype(np.int64)
+        symbols = np.clip(q, -em.radius, em.radius) + em.radius
+        counts += np.bincount(symbols.ravel(), minlength=2 * em.radius + 1)
+    return EntropyModel(counts + codec.SMOOTHING, em.radius,
+                        model_id=f"refined-n{len(raw_frames)}-q{cfg.quant_step:g}")
+
+
+def in_place_cases():
+    """Gray and RGB fixtures, whole and cropped to sides no block divides."""
+    images = codec_fixture_images() + [rgb_fixture()]
+    return images + [img[:27, :21] for img in images] + [img[3:, 5:] for img in images]
+
+
+class TestInPlaceStages:
+    """decode and refine_model reuse their buffers; every element goes
+    through the same operations as in the fresh-array references."""
+
+    @pytest.mark.parametrize("block", [8, 16])
+    def test_decode_equals_the_fresh_array_reference(self, generic, block):
+        for img in in_place_cases():
+            for step in (0.004, 0.02, 0.3, 4.0):
+                frame = encode(img, CodecConfig(block_size=block, quant_step=step), generic)
+                back = deserialize_frame(serialize_frame(frame))
+                for q in (frame.qcoeffs, np.asfortranarray(frame.qcoeffs),
+                          frame.qcoeffs.astype(np.int32)):
+                    f = dataclasses.replace(back, qcoeffs=q)
+                    got, want = decode(f), reference_decode(f)
+                    assert got.dtype == want.dtype == np.float64
+                    assert same_bits(got, want), (img.shape, step, q.dtype)
+
+    @pytest.mark.parametrize("block", [8, 16])
+    def test_refine_model_equals_the_fresh_array_reference(self, generic, block):
+        # at step 0.004 and block 16 symbols reach 4000, past the radius
+        cases = in_place_cases()
+        for step in (0.004, 0.02, 0.3):
+            cfg = CodecConfig(block_size=block, quant_step=step)
+            for frames in [[img] for img in cases] + [[img for img in cases if img.ndim == 3]]:
+                got = refine_model(generic, frames, cfg)
+                want = reference_refine_model(generic, frames, cfg)
+                assert got.freq.dtype == want.freq.dtype
+                assert got.freq.tobytes() == want.freq.tobytes(), (frames[0].shape, step)
+                assert got.model_id == want.model_id
+
+
+def stream_frames() -> list[np.ndarray]:
+    """Four 192x192 RGB frames of a drifting scene, one exposure per channel."""
+    gains, offsets = np.array([0.9, 1.0, 1.1]), np.array([0.05, 0.0, -0.05])
+    return [np.clip(g[:, :, None] * gains + offsets, 0.0, 1.0)
+            for g in shifting_sequence(4, 192, 192)]
+
+
+def traced_peak(call) -> float:
+    """tracemalloc's peak over a second call, in 192x192x3 float64 arrays."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (192 * 192 * 3 * 8)
+
+
+class TestWorkingSets:
+    """Each stage drops every frame-sized array it no longer needs before
+    it allocates the next one (peaks over a 192x192x3 frame)."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        frames = stream_frames()
+        model = EntropyModel.generic()
+        _, frame = rate_control(frames[0], 0.3, model, CodecConfig())
+        return frames, model, frame
+
+    def test_rate_control(self, stream):
+        # the coefficients, the chosen step's symbols, and pricing's index
+        # and cost arrays; the sorted copy and the quotient are gone by then
+        frames, model, _ = stream
+        assert traced_peak(lambda: rate_control(frames[0], 0.3, model, CodecConfig())) <= 4.2
+
+    def test_encode(self, stream):
+        frames, model, _ = stream
+        assert traced_peak(lambda: encode(frames[0], CodecConfig(), model)) <= 4.2
+
+    def test_deserialize_frame(self, stream):
+        # the symbols and pricing's two arrays; the payload is not copied
+        _, model, frame = stream
+        data = serialize_frame(frame)
+        assert traced_peak(lambda: deserialize_frame(data, model)) <= 3.1
+
+    def test_decode(self, stream):
+        # the dequantized array, which the column pass overwrites, and the
+        # row pass's product
+        _, _, frame = stream
+        assert traced_peak(lambda: decode(frame)) <= 2.2
+
+    def test_refine_model_over_four_frames(self, stream):
+        # one frame's transform; no frame's coefficients or symbols are held
+        # into the next one's
+        frames, model, _ = stream
+        assert traced_peak(lambda: refine_model(model, frames, CodecConfig())) <= 2.2

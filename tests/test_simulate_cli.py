@@ -27,7 +27,7 @@ from v2vsim.scenario_io import format_scenario
 from v2vsim.simulate import (LINKS_HEADER, PLAN_CSV_HEADER, PLAN_TXT_SLICE, REPORT_HEADER,
                              _fmt, manifest_for, plan_matrix_report, simulate,
                              write_outputs, write_plan)
-from v2vsim.synth import sine_image
+from v2vsim.synth import shifting_sequence, sine_image
 
 from images import gradient_image
 
@@ -127,6 +127,22 @@ class TestSimulate:
         total_budget = sum(r.ratio * img.size * 8 for r in result.links)
         total_bits = sum(r.bits for r in result.links)
         assert total_bits <= (1 + codec.rate_tolerance) * total_budget
+
+    def test_working_set_over_two_links_at_176(self):
+        # one link's MS-SSIM (about six maps) and its reconstruction; the
+        # frame is dropped after decoding and nothing of the first link is
+        # held through the second
+        frames = shifting_sequence(3, 176, 176)
+        s = three_node_symmetric(float(frames[1].size * 8))
+        images = dict(enumerate(frames))
+        assert simulate(s, images, CodecConfig(), align_alpha=0.05).report.n_links == 2
+        tracemalloc.start()
+        try:
+            simulate(s, images, CodecConfig(), align_alpha=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.6 * 176 * 176 * 8
 
     def test_missing_source_image_names_link(self):
         s = two_node(1e6)
@@ -461,6 +477,22 @@ class TestCli:
                    "--outdir", str(tmp_path / "o")])
         assert rc == 2
         assert capsys.readouterr().err == "error: line 3: not valid UTF-8\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where", ["first", "last", "after_mark", "last_after_mark"])
+    def test_invalid_utf8_at_either_end_and_after_a_byte_order_mark(self, tmp_path, capsys,
+                                                                    where):
+        text = format_scenario(two_node(8e6)).encode()
+        last = text.count(b"\n") + 1  # a line with no newline after the text
+        data, line = {"first": (b"\xff" + text, 1),
+                      "last": (text + b"# caf\xe9", last),
+                      "after_mark": (b"\xef\xbb\xbf\xe9" + text, 1),
+                      "last_after_mark": (b"\xef\xbb\xbf" + text + b"\xff", last)}[where]
+        path = tmp_path / "scene.scn"
+        path.write_bytes(data)
+        rc = main(["plan", "--scenario", str(path), "--outdir", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: line {line}: not valid UTF-8\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["plan", "simulate"])
