@@ -14,25 +14,27 @@ model, not an arithmetic-coded bitstream.  Two model flavors exist:
 
 The planner's compression ratio maps to a bit budget via ``rate_control``:
 ``target = ratio * 8 bits per pixel per channel``, met by a binary search
-over the quantization-step grid.  The transform does not depend on the step,
-so ``rate_control`` transforms the image once and sorts, once, only the
-coefficients with ``|c| > QUANT_STEP_GRID[0] / 2``: every other one is symbol 0
-at every grid step.  Each step it tries is priced from the symbol counts of
-that sorted copy, over the symbols it occupies, plus symbol 0 for each
-coefficient left out; only the step it returns is quantized and priced in
-full.
+over the quantization-step grid.  Every bit count is
+``EntropyModel.bits_for_counts``: the alphabet's symbol counts dotted with
+``-log2 p``.  The transform does not depend on the step, so ``rate_control``
+transforms the image once and sorts, once, only the coefficients with
+``|c| > QUANT_STEP_GRID[0] / 2``: every other one is symbol 0 at every grid
+step.  Each step it tries is counted from that sorted copy, plus symbol 0
+for each coefficient left out: the counts ``encode`` takes at that step.
+Only the step it returns is quantized; its frame keeps the search's bits.
 
 Each stage drops every frame-sized array it no longer needs before it
 allocates the next.  Counted in float64 arrays the size of the padded frame
 (int64 symbols count the same), at their peak: ``encode`` and
-``rate_control`` hold 4 (the coefficients, the int64 symbols, and pricing's
-index and cost arrays; the quotient and the sorted copy are gone by then),
-``deserialize_frame`` 3 (the symbols and pricing's two; the payload is read
-through a view), ``decode`` 2 (the dequantized array, which the inverse
+``rate_control`` hold 3 (the coefficients, the quotient and its symbols;
+``encode`` counts the symbols through a clipped copy once the quotient is
+gone, and the sorted copy is gone before ``rate_control`` quantizes),
+``deserialize_frame`` 2 (the symbols and their clipped copy; the payload is
+read through a view), ``decode`` 2 (the dequantized array, which the inverse
 transform's column pass overwrites, and the row pass's product), and
 ``refine_model`` 2 over any number of frames (the transform's two; the
-coefficients are rounded in place, then their int64 symbols clipped and
-shifted in place, and neither is held into the next frame).
+coefficients are rounded in place, then counted as int64 symbols through a
+clipped copy, and neither is held into the next frame).
 """
 
 from __future__ import annotations
@@ -57,12 +59,6 @@ SMOOTHING = 1.0
 # block sizes up to 8 (2000 at 8).  A symbol beyond the radius is priced as
 # the edge symbol.
 QUANT_STEP_GRID = np.geomspace(0.004, 16.0, num=60)
-
-# rate_control prices a step exactly when its counted estimate lies within
-# this fraction of the budget: the estimate's dot product and encode's
-# pairwise sum round the same bits differently, each by well under 1e-12 of
-# the total, so outside the band both fall on the same side of the budget.
-GUARD_BAND = 1e-9
 
 FRAME_MAGIC = b"VCQ1"
 FRAME_VERSION = 1
@@ -116,10 +112,21 @@ class EntropyModel:
         freq = ((radius + 1.0) / (1.0 + symbols)) ** GENERIC_DECAY_POWER
         return cls(freq, radius, model_id=f"generic-r{radius}")
 
+    def bits_for_counts(self, counts: np.ndarray) -> float:
+        """Estimated bits of ``counts[k]`` symbols ``k - radius`` for each k."""
+        return float(-(counts @ self._log2_prob))
+
     def bits_for_symbols(self, symbols: np.ndarray) -> float:
         """Estimated bits: sum of -log2 p over (alphabet-clipped) symbols."""
-        idx = np.asarray(symbols).astype(np.int64, copy=False) + self.radius
-        return float(-np.take(self._log2_prob, idx, mode="clip").sum())
+        return self.bits_for_counts(_symbol_counts(symbols, self.radius))
+
+
+def _symbol_counts(symbols: np.ndarray, radius: int) -> np.ndarray:
+    """int64 counts of the integer ``symbols`` clipped to [-radius, radius],
+    indexed by symbol + radius; the clip works on a copy."""
+    idx = np.clip(symbols, -radius, radius, dtype=np.int64)
+    idx += radius
+    return np.bincount(idx.ravel(), minlength=2 * radius + 1)
 
 
 @dataclass(frozen=True)
@@ -196,12 +203,13 @@ def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _quantize_and_price(arr: np.ndarray, coeffs: np.ndarray, step: float,
-                        block: int, em: EntropyModel) -> EncodedFrame:
+                        block: int, em: EntropyModel, bits: float | None = None) -> EncodedFrame:
+    """``coeffs`` quantized at ``step``, priced from its counts unless ``bits`` is given."""
     scaled = coeffs / step
     q = np.rint(scaled, out=scaled).astype(np.int64)
-    del scaled  # before pricing allocates its index and cost arrays
+    del scaled  # before pricing allocates its clipped copy
     return EncodedFrame(qcoeffs=q, quant_step=step, model_id=em.model_id,
-                        bit_count=em.bits_for_symbols(q),
+                        bit_count=em.bits_for_symbols(q) if bits is None else bits,
                         height=arr.shape[0], width=arr.shape[1],
                         channels=1 if arr.ndim == 2 else arr.shape[2],
                         block_size=block)
@@ -280,13 +288,13 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
     coefficient with ``|c| <= QUANT_STEP_GRID[0] / 2`` is symbol 0 at every
     grid step, so only the others are sorted, once; a binary search over the
     grid then prices each step it tries from the symbol counts of that sorted
-    copy over the symbols it occupies, plus symbol 0's price for each
-    coefficient left out, falling back to encode's exact pricing only within
-    ``GUARD_BAND`` of the budget, so each step fits exactly when encode's bit
-    count would fit.  The returned step fits the budget and the next finer
-    grid step (if any) does not, so it is the finest feasible step whenever
-    bit counts are non-increasing in the step.  Only that step is quantized
-    and priced in full, and its frame equals ``encode`` at that step.
+    copy over the symbols it occupies, plus symbol 0 for each coefficient
+    left out: the counts ``encode`` prices, so each step's bits are
+    ``encode``'s exactly.  The returned step fits the budget and the next
+    finer grid step (if any) does not, so it is the finest feasible step
+    whenever bit counts are non-increasing in the step.  Only that step is
+    quantized; its frame keeps the search's bits and equals ``encode`` at
+    that step.
     """
     if not (0 < ratio <= 1):
         raise ValidationError("ratio must lie in (0, 1]")
@@ -299,36 +307,33 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
     half = grid[0] / 2
     ordered = flat[~((flat <= half) & (flat >= -half))]
     ordered.sort()
-    zeros_log2p = (flat.size - ordered.size) * em._log2_prob[em.radius]
 
-    @functools.cache
-    def exact(idx: int) -> EncodedFrame:
-        return _quantize_and_price(arr, coeffs, float(grid[idx]), cfg.block_size, em)
+    def price(idx: int) -> float:
+        low, window = _window_counts(ordered, float(grid[idx]), em.radius)
+        counts = np.zeros(2 * em.radius + 1, dtype=np.int64)
+        counts[low + em.radius:low + em.radius + window.size] = window
+        counts[em.radius] += flat.size - ordered.size
+        return em.bits_for_counts(counts)
 
-    def fits(idx: int) -> bool:
-        low, counts = _window_counts(ordered, float(grid[idx]), em.radius)
-        start = low + em.radius
-        estimate = -float(counts @ em._log2_prob[start:start + counts.size] + zeros_log2p)
-        if abs(estimate - allowed) <= GUARD_BAND * allowed:
-            return exact(idx).bit_count <= allowed
-        return estimate <= allowed
-
-    if not fits(len(grid) - 1):
+    bits = price(len(grid) - 1)
+    if bits > allowed:
         raise BudgetError(
             f"budget {allowed:.1f} bits unreachable: coarsest step "
-            f"{grid[-1]:.4g} still needs {exact(len(grid) - 1).bit_count:.1f} bits")
+            f"{grid[-1]:.4g} still needs {bits:.1f} bits")
 
     # each mid lies in [lo, hi) and leaves that range once tried, so no step
-    # is counted twice
-    lo, hi = 0, len(grid) - 1  # hi fits; lo - 1, if tried, does not
+    # is priced twice
+    lo, hi = 0, len(grid) - 1  # hi fits, at `bits`; lo - 1, if tried, does not
     while lo < hi:
         mid = (lo + hi) // 2
-        if fits(mid):
-            hi = mid
+        mid_bits = price(mid)
+        if mid_bits <= allowed:
+            hi, bits = mid, mid_bits
         else:
             lo = mid + 1
-    del ordered  # before the chosen step is quantized and priced
-    return float(grid[hi]), exact(hi)
+    del ordered  # before the chosen step is quantized
+    return float(grid[hi]), _quantize_and_price(arr, coeffs, float(grid[hi]),
+                                                cfg.block_size, em, bits)
 
 
 def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
@@ -347,10 +352,8 @@ def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
         np.round(np.divide(coeffs, cfg.quant_step, out=coeffs), out=coeffs)
         q = coeffs.astype(np.int64)
         del coeffs
-        np.clip(q, -em.radius, em.radius, out=q)
-        q += em.radius
-        counts += np.bincount(q.ravel(), minlength=2 * em.radius + 1)
-        del q  # neither array is held through the next frame's transform
+        counts += _symbol_counts(q, em.radius)
+        del q  # not held through the next frame's transform
     return EntropyModel(counts + SMOOTHING, em.radius,
                         model_id=f"refined-n{len(raw_frames)}-q{cfg.quant_step:g}")
 
@@ -417,13 +420,9 @@ def deserialize_frame(data: bytes, em: EntropyModel | None = None) -> EncodedFra
             f"quantization step {quant_step} overflows on dequantization")
     shape = (pad_h, pad_w) if channels == 1 else (pad_h, pad_w, channels)
     q = wire.astype(np.int64).reshape(shape)
-    if em is not None:
-        if em.model_id != model_id:
-            raise ValidationError(
-                f"container was priced under model '{model_id}', got '{em.model_id}'")
-        bits = em.bits_for_symbols(q)
-    else:
-        bits = math.nan
+    if em is not None and em.model_id != model_id:
+        raise ValidationError(
+            f"container was priced under model '{model_id}', got '{em.model_id}'")
     return EncodedFrame(qcoeffs=q, quant_step=quant_step, model_id=model_id,
-                        bit_count=bits, height=height, width=width,
-                        channels=channels, block_size=block_size)
+                        bit_count=math.nan if em is None else em.bits_for_symbols(q),
+                        height=height, width=width, channels=channels, block_size=block_size)
