@@ -24,17 +24,18 @@ for each coefficient left out: the counts ``encode`` takes at that step.
 Only the step it returns is quantized; its frame keeps the search's bits.
 
 Each stage drops every frame-sized array it no longer needs before it
-allocates the next.  Counted in float64 arrays the size of the padded frame
-(int64 symbols count the same), at their peak: ``encode`` and
-``rate_control`` hold 3 (the coefficients, the quotient and its symbols;
-``encode`` counts the symbols through a clipped copy once the quotient is
-gone, and the sorted copy is gone before ``rate_control`` quantizes),
-``deserialize_frame`` 2 (the symbols and their clipped copy; the payload is
-read through a view), ``decode`` 2 (the dequantized array, which the inverse
-transform's column pass overwrites, and the row pass's product), and
-``refine_model`` 2 over any number of frames (the transform's two; the
-coefficients are rounded in place, then counted as int64 symbols through a
-clipped copy, and neither is held into the next frame).
+allocates the next.  ``encode``, ``rate_control`` and ``refine_model`` take
+their symbols from one quantizer, ``_quantize``, which rounds the quotient
+in the coefficients' own buffer.  Counted in float64 arrays the size of the
+padded frame (int64 symbols count the same), at their peak: ``encode`` and
+``rate_control`` hold 2 (the transform's two, then the coefficients and
+their symbols; ``encode`` counts the symbols through a clipped copy once the
+coefficients are gone, and the sorted copy is gone before ``rate_control``
+quantizes), ``deserialize_frame`` 2 (the symbols and their clipped copy; the
+payload is read through a view), ``decode`` 2 (the dequantized array, which
+the inverse transform's column pass overwrites, and the row pass's product),
+and ``refine_model`` 2 over any number of frames (as ``encode``, and nothing
+is held into the next frame).
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ def _symbol_counts(symbols: np.ndarray, radius: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EncodedFrame:
-    """Quantized transform coefficients plus the bit estimate for one image.
+    """Quantized transform coefficients plus the bit estimate for one image,
+    shaped (H, W) or (H, W, 3).
 
     ``qcoeffs`` is laid out like the padded image: (padH, padW) for grayscale
     or (padH, padW, 3) for color.  ``bit_count`` is computed from the model
@@ -202,23 +204,27 @@ def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
     return arr, _blockwise(padded, block, True, np.empty(padded.shape))
 
 
-def _quantize_and_price(arr: np.ndarray, coeffs: np.ndarray, step: float,
-                        block: int, em: EntropyModel, bits: float | None = None) -> EncodedFrame:
-    """``coeffs`` quantized at ``step``, priced from its counts unless ``bits`` is given."""
-    scaled = coeffs / step
-    q = np.rint(scaled, out=scaled).astype(np.int64)
-    del scaled  # before pricing allocates its clipped copy
-    return EncodedFrame(qcoeffs=q, quant_step=step, model_id=em.model_id,
-                        bit_count=em.bits_for_symbols(q) if bits is None else bits,
+def _quantize(coeffs: np.ndarray, step: float) -> np.ndarray:
+    """The int64 symbols ``rint(coeffs / step)``, rounded in ``coeffs``' own
+    buffer, which is left holding the rounded quotient: a caller drops
+    ``coeffs`` before it prices the symbols."""
+    return np.rint(np.divide(coeffs, step, out=coeffs), out=coeffs).astype(np.int64)
+
+
+def _frame(arr: np.ndarray, q: np.ndarray, step: float, block: int,
+           em: EntropyModel, bits: float) -> EncodedFrame:
+    """The frame of the symbols ``q`` of the checked image ``arr``."""
+    return EncodedFrame(qcoeffs=q, quant_step=step, model_id=em.model_id, bit_count=bits,
                         height=arr.shape[0], width=arr.shape[1],
-                        channels=1 if arr.ndim == 2 else arr.shape[2],
-                        block_size=block)
+                        channels=1 if arr.ndim == 2 else arr.shape[2], block_size=block)
 
 
 def encode(img: np.ndarray, cfg: CodecConfig, em: EntropyModel) -> EncodedFrame:
     """Transform, quantize, and price an image under the entropy model."""
     arr, coeffs = _transform(img, cfg.block_size)
-    return _quantize_and_price(arr, coeffs, cfg.quant_step, cfg.block_size, em)
+    q = _quantize(coeffs, cfg.quant_step)
+    del coeffs  # before pricing allocates its clipped copy
+    return _frame(arr, q, cfg.quant_step, cfg.block_size, em, em.bits_for_symbols(q))
 
 
 def decode(frame: EncodedFrame) -> np.ndarray:
@@ -293,8 +299,9 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
     ``encode``'s exactly.  The returned step fits the budget and the next
     finer grid step (if any) does not, so it is the finest feasible step
     whenever bit counts are non-increasing in the step.  Only that step is
-    quantized; its frame keeps the search's bits and equals ``encode`` at
-    that step.
+    quantized, in the coefficients' buffer, which the search no longer
+    needs; its frame keeps the search's bits and equals ``encode`` at that
+    step.
     """
     if not (0 < ratio <= 1):
         raise ValidationError("ratio must lie in (0, 1]")
@@ -332,8 +339,8 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
         else:
             lo = mid + 1
     del ordered  # before the chosen step is quantized
-    return float(grid[hi]), _quantize_and_price(arr, coeffs, float(grid[hi]),
-                                                cfg.block_size, em, bits)
+    step = float(grid[hi])
+    return step, _frame(arr, _quantize(coeffs, step), step, cfg.block_size, em, bits)
 
 
 def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
@@ -349,9 +356,8 @@ def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
     counts = np.zeros(2 * em.radius + 1)
     for raw in raw_frames:
         _, coeffs = _transform(raw, cfg.block_size)
-        np.round(np.divide(coeffs, cfg.quant_step, out=coeffs), out=coeffs)
-        q = coeffs.astype(np.int64)
-        del coeffs
+        q = _quantize(coeffs, cfg.quant_step)
+        del coeffs  # before counting allocates its clipped copy
         counts += _symbol_counts(q, em.radius)
         del q  # not held through the next frame's transform
     return EntropyModel(counts + SMOOTHING, em.radius,

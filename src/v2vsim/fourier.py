@@ -1,13 +1,13 @@
 """Low-frequency amplitude alignment between images, after FDA (Yang & Soatto 2020).
 
-Images are float64 arrays in [0, 1], shaped (H, W) or (H, W, C) with C in
-{1, 3}.  Both ``align`` and ``domain_gap`` work on the real half-spectrum
-(``rfft2``) inside one low-frequency rectangle, ``_low_band``: row
-frequencies within floor(alpha * H) of DC either way, column frequencies up
-to floor(alpha * W).  The rectangle is symmetric about DC, so ``align``'s
-output is real by construction.  ``rfft2`` keeps columns 0..W//2 only, so of
-two Hermitian-mirrored bins of the full spectrum the rectangle holds one,
-unless both lie in column 0 (or W/2).
+Images are float64 arrays in [0, 1], shaped (H, W) or (H, W, 3).  Both
+``align`` and ``domain_gap`` work on the real half-spectrum (``rfft2``)
+inside one low-frequency rectangle, ``_low_band``: row frequencies within
+floor(alpha * H) of DC either way, column frequencies up to floor(alpha *
+W).  The rectangle is symmetric about DC, so ``align``'s output is real by
+construction.  ``rfft2`` keeps columns 0..W//2 only, so of two
+Hermitian-mirrored bins of the full spectrum the rectangle holds one, unless
+both lie in column 0 (or W/2).
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from .errors import ValidationError
 def check_image(img: np.ndarray, name: str = "image") -> np.ndarray:
     """Validate dimensions and the range [0, 1] (NaN fails); returns the array as float64."""
     arr = np.asarray(img, dtype=float)
-    if arr.ndim == 3:
-        if arr.shape[2] not in (1, 3):
-            raise ValidationError(f"{name}: channel count must be 1 or 3, got {arr.shape[2]}")
-    elif arr.ndim != 2:
-        raise ValidationError(f"{name}: expected a 2-D or 3-D array, got ndim={arr.ndim}")
+    if not (arr.ndim == 2 or arr.ndim == 3 and arr.shape[2] == 3):
+        raise ValidationError(f"{name}: expected an (H, W) or (H, W, 3) array, "
+                              f"got shape {arr.shape}")
     if arr.shape[0] < 2 or arr.shape[1] < 2:
         raise ValidationError(f"{name}: height and width must be >= 2, got {arr.shape[:2]}")
     if not (arr.min() >= 0.0 and arr.max() <= 1.0):

@@ -72,9 +72,6 @@ def write_image(path, img: np.ndarray) -> None:
         magic = b"P5"
     elif arr.ndim == 3 and arr.shape[2] == 3:
         magic = b"P6"
-    elif arr.ndim == 3 and arr.shape[2] == 1:
-        magic = b"P5"
-        arr = arr[:, :, 0]
     else:
         raise ImageFormatError(f"cannot map shape {arr.shape} onto P5/P6")
     quantized = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)

@@ -167,6 +167,8 @@ def _candidates(scenario: Scenario) -> Candidates:
 
 
 def _check_feasible(scenario: Scenario, candidates: Candidates) -> None:
+    if len(scenario.nodes) < 2:
+        raise InfeasibleError("planning needs at least two nodes")
     budget = scenario.channel.num_subchannels
     need = scenario.min_ego_links
     if need > budget:
@@ -203,8 +205,6 @@ def optimize(scenario: Scenario, cfg: SolverConfig | None = None) -> CommPlan:
     calls.  Raises InfeasibleError when no selection can satisfy the link
     budget and the ego-link floor with a finite average delay.
     """
-    if len(scenario.nodes) < 2:
-        raise InfeasibleError("planning needs at least two nodes")
     candidates = _candidates(scenario)
     _check_feasible(scenario, candidates)
     budget = scenario.channel.num_subchannels
@@ -283,8 +283,6 @@ def exhaustive_optimum(scenario: Scenario) -> CommPlan:
     first, then lexicographically in candidate (row-major) order; a NaN or
     infinite average never wins.
     """
-    if len(scenario.nodes) < 2:
-        raise InfeasibleError("planning needs at least two nodes")
     candidates = _candidates(scenario)
     _check_feasible(scenario, candidates)
     if len(candidates) > 20:
@@ -358,50 +356,38 @@ def validate_plan(plan: CommPlan, scenario: Scenario) -> list[str]:
             f"{scenario.min_ego_links} required")
 
     # the selected off-diagonal links in row-major order (a diagonal one is
-    # reported above); those with a rate, NaN included, are checked against
-    # the scenario
+    # reported above), checked against the scenario one by one; a link whose
+    # rate is not positive (NaN is) is checked no further.  The floor bound
+    # is a Python float, so past the exponent range it is +inf, not a warning
     flat = np.flatnonzero(g)
     src, dst = np.divmod(flat, n)
     off = src != dst
     src, dst, flat = src[off], dst[off], flat[off]
-    live = ~(plan.rates.take(flat) <= 0)
-    s, d, flat = src[live], dst[live], flat[live]
     rate, ratio = plan.rates.take(flat), plan.compression.take(flat)
     x = np.array([node.x for node in scenario.nodes])
     y = np.array([node.y for node in scenario.nodes])
-    dist = np.hypot(x[s] - x[d], y[s] - y[d])
+    dist = np.hypot(x[src] - x[dst], y[src] - y[dst])
     cap = _capacity(dist, scenario.channel)
-    over = rate > cap * (1 + rel_tol)
-    scale = scenario.distance_scale_m
-
-    def floor_bound(r: float, d: float) -> float:  # past about 709.78 scales it is +inf: it passes
+    with np.errstate(divide="ignore", invalid="ignore"):  # a rate of 0 is reported, not divided by
+        expected = ratio * scenario.data_volumes_bits.take(flat) / rate
+    for i, j, r, c, gamma, d, delay, e in zip(
+            src.tolist(), dst.tolist(), rate.tolist(), cap.tolist(), ratio.tolist(),
+            dist.tolist(), plan.delays.take(flat), expected):
+        if r <= 0:
+            issues.append(f"link ({i},{j}): rate must be positive on a selected link")
+            continue
+        if r > c * (1 + rel_tol):
+            issues.append(f"link ({i},{j}): rate {r:.6g} exceeds capacity {c:.6g}")
         try:
-            return r * math.exp(d / scale)
-        except OverflowError:
-            return math.inf
-
-    bound = np.array([floor_bound(r, d) for r, d in zip(ratio.tolist(), dist.tolist())])
-    below = bound < scenario.beta * (1 - rel_tol)
-    expected = ratio * scenario.data_volumes_bits.take(flat) / rate
-    wrong = plan.delays.take(flat) != expected
-    if not live.all() or (over | below | wrong).any():
-        m = -1  # the current link's index among the live ones
-        for i, j, has_rate in zip(src, dst, live):
-            if not has_rate:
-                issues.append(f"link ({i},{j}): rate must be positive on a selected link")
-                continue
-            m += 1
-            if over[m]:
-                issues.append(
-                    f"link ({i},{j}): rate {rate[m]:.6g} exceeds capacity {cap[m]:.6g}")
-            if below[m]:
-                issues.append(
-                    f"link ({i},{j}): compression floor violated "
-                    f"({bound[m]:.12g} < beta={scenario.beta:.12g})")
-            if wrong[m]:
-                issues.append(
-                    f"link ({i},{j}): delay {plan.delays[i, j]!r} != "
-                    f"ratio*volume/rate {expected[m]!r}")
+            bound = gamma * math.exp(d / scenario.distance_scale_m)
+        except OverflowError:  # past about 709.78 scales the bound is +inf: it passes
+            bound = math.inf
+        if bound < scenario.beta * (1 - rel_tol):
+            issues.append(
+                f"link ({i},{j}): compression floor violated "
+                f"({bound:.12g} < beta={scenario.beta:.12g})")
+        if delay != e:
+            issues.append(f"link ({i},{j}): delay {delay!r} != ratio*volume/rate {e!r}")
     try:
         recomputed = average_delay(plan)
     except ValidationError:

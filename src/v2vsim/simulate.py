@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import warnings
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -169,7 +168,7 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
             step, frame = rate_control(src_img, link.ratio, em, codec_cfg)
             bits, recon = frame.bit_count, decode(frame)
             del frame  # only its bit count is used from here
-            if link.dst == ego_id and align_alpha > 0 and link.src != ego_id:
+            if link.dst == ego_id and align_alpha > 0:
                 recon = align(recon, ego_image, align_alpha)
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "image .* supports only", UserWarning)
@@ -192,10 +191,10 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
         avg_delay_s=plan.avg_delay_s,
         n_links=len(records),
         total_bits=total_bits,
-        bitrate_bpp=total_bits / total_pixels if total_pixels else math.nan,
-        mean_psnr_db=float(np.mean([r.psnr_db for r in records])) if records else math.nan,
-        mean_ms_ssim=float(np.mean([r.ms_ssim for r in records])) if records else math.nan,
-        mean_mse=float(np.mean([r.mse for r in records])) if records else math.nan,
+        bitrate_bpp=total_bits / total_pixels,
+        mean_psnr_db=float(np.mean([r.psnr_db for r in records])),
+        mean_ms_ssim=float(np.mean([r.ms_ssim for r in records])),
+        mean_mse=float(np.mean([r.mse for r in records])),
     )
     return SimulationResult(plan=plan, report=report, links=records)
 

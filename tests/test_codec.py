@@ -195,6 +195,20 @@ class TestEncodeDecode:
                 with pytest.raises(ValidationError, match=r"values must lie in \[0, 1\]"):
                     call()
 
+    def test_one_channel_3d_image_rejected(self, generic):
+        # the container stores 1 channel for (H, W) and (H, W, 1) alike, so a
+        # (16, 16, 1) frame came back (16, 16): grayscale is (H, W) only
+        img = np.full((16, 16, 1), 0.5)
+        calls = [lambda: encode(img, CodecConfig(), generic),
+                 lambda: rate_control(img, 1.0, generic, CodecConfig()),
+                 lambda: refine_model(generic, [img], CodecConfig()),
+                 lambda: align(img, img[:, :, 0], 0.1),
+                 lambda: domain_gap([img[:, :, 0]], [img], 0.1)]
+        for call in calls:
+            with pytest.raises(ValidationError, match=r"\(H, W\) or \(H, W, 3\) array, "
+                                                      r"got shape \(16, 16, 1\)"):
+                call()
+
     @pytest.mark.parametrize("value", [0.0, -0.0, 1.0])
     @pytest.mark.parametrize("shape", [(16, 16), (13, 21, 3)])
     def test_unit_range_ends_accepted(self, generic, shape, value):
@@ -410,6 +424,13 @@ class TestRateControl:
         assert interior >= 20
 
 
+def quantized_frame(arr, coeffs, step, block, em):
+    """encode's frame of ``coeffs`` at ``step``, priced from its symbols;
+    ``coeffs`` is kept, since the quantizer rounds a copy."""
+    q = codec._quantize(coeffs.copy(), step)
+    return codec._frame(arr, q, step, block, em, em.bits_for_symbols(q))
+
+
 def reference_rate_control(img, ratio, em, cfg):
     """The same binary search, with every step it tries quantized and priced
     in full by encode's path."""
@@ -418,8 +439,7 @@ def reference_rate_control(img, ratio, em, cfg):
     grid = QUANT_STEP_GRID
 
     def attempt(idx):
-        return codec._quantize_and_price(arr, coeffs, float(grid[idx]),
-                                         cfg.block_size, em)
+        return quantized_frame(arr, coeffs, float(grid[idx]), cfg.block_size, em)
 
     best = attempt(len(grid) - 1)
     if best.bit_count > allowed:
@@ -540,12 +560,11 @@ class TestCountedRateControl:
         coeffs[::4, ::4] = value
         coeffs[1, 1] = 0.9  # one large coefficient, so the window is not all 0
         monkeypatch.setattr(codec, "_transform", lambda x, block: (img, coeffs.copy()))
-        finest = codec._quantize_and_price(img, coeffs, float(QUANT_STEP_GRID[0]), 8, generic)
+        finest = quantized_frame(img, coeffs, float(QUANT_STEP_GRID[0]), 8, generic)
         assert np.count_nonzero(finest.qcoeffs == symbol) == (32 if symbol else img.size - 1)
         planted_as_zero = coeffs.copy()
         planted_as_zero[::4, ::4] = 0.0
-        as_zero = codec._quantize_and_price(img, planted_as_zero,
-                                            float(QUANT_STEP_GRID[0]), 8, generic)
+        as_zero = quantized_frame(img, planted_as_zero, float(QUANT_STEP_GRID[0]), 8, generic)
         assert (finest.bit_count > as_zero.bit_count) == (symbol != 0)
         # between the two prices: the finest step fits only if the planted
         # values are all symbol 0
@@ -799,8 +818,19 @@ def in_place_cases():
 
 
 class TestInPlaceStages:
-    """decode and refine_model reuse their buffers; every element goes
+    """decode and the quantizer reuse their buffers; every element goes
     through the same operations as in the fresh-array references."""
+
+    def test_quantizer_equals_a_fresh_quotient(self):
+        # ties at half-integers round to even, as rint of a fresh quotient does
+        ties = np.array([[0.5, 1.5, 2.5, -0.5], [-1.5, -2.5, 0.0, -0.0]]) * 0.25
+        for coeffs in [ties] + [codec._transform(img, 8)[1] for img in in_place_cases()]:
+            for step in (0.004, 0.02, 0.25, 4.0):
+                buffer = coeffs.copy()
+                q = codec._quantize(buffer, step)
+                assert q.dtype == np.int64
+                assert np.array_equal(q, np.rint(coeffs / step).astype(np.int64))
+                assert same_bits(buffer, np.rint(coeffs / step))
 
     @pytest.mark.parametrize("block", [8, 16])
     def test_decode_equals_the_fresh_array_reference(self, generic, block):
@@ -860,16 +890,18 @@ class TestWorkingSets:
         return frames, model, frame
 
     def test_rate_control(self, stream):
-        # the coefficients, the chosen step's quotient and its int64
-        # symbols; the sorted copy is gone by then and nothing is priced
+        # the transform's two; then the coefficients and the sorted copy;
+        # then the coefficients, rounded in place, and their int64 symbols:
+        # the sorted copy is gone by then and nothing is priced
         frames, model, _ = stream
-        assert traced_peak(lambda: rate_control(frames[0], 0.3, model, CodecConfig())) <= 3.2
+        assert traced_peak(lambda: rate_control(frames[0], 0.3, model, CodecConfig())) <= 2.2
 
     def test_encode(self, stream):
-        # the coefficients, the quotient and its int64 symbols; then the
-        # coefficients, the symbols and the clipped copy that is counted
+        # the transform's two; then the coefficients, rounded in place, and
+        # their int64 symbols; then the symbols and the clipped copy that is
+        # counted, the coefficients gone
         frames, model, _ = stream
-        assert traced_peak(lambda: encode(frames[0], CodecConfig(), model)) <= 3.2
+        assert traced_peak(lambda: encode(frames[0], CodecConfig(), model)) <= 2.2
 
     def test_deserialize_frame(self, stream):
         # the symbols and the clipped copy that is counted; the payload is
@@ -885,7 +917,8 @@ class TestWorkingSets:
         assert traced_peak(lambda: decode(frame)) <= 2.2
 
     def test_refine_model_over_four_frames(self, stream):
-        # one frame's transform, or its int64 symbols and the clipped copy
-        # that is counted; none is held into the next frame's
+        # as encode: one frame's transform, its coefficients and their int64
+        # symbols, or the symbols and the clipped copy that is counted; none
+        # is held into the next frame's
         frames, model, _ = stream
         assert traced_peak(lambda: refine_model(model, frames, CodecConfig())) <= 2.2

@@ -321,6 +321,12 @@ class TestImageIO:
         write_image(tmp_path / "t2.ppm", again)
         assert (tmp_path / "t.ppm").read_bytes() == (tmp_path / "t2.ppm").read_bytes()
 
+    def test_one_channel_3d_image_not_written(self, tmp_path):
+        # grayscale is (H, W) only; read_image never returns (H, W, 1)
+        with pytest.raises(ImageFormatError, match="cannot map shape"):
+            write_image(tmp_path / "t.pgm", np.zeros((4, 5, 1)))
+        assert not (tmp_path / "t.pgm").exists()
+
     def test_comments_in_header(self, tmp_path):
         payload = bytes(range(6))
         data = b"P5\n# a comment\n3 2\n# another\n255\n" + payload

@@ -772,6 +772,21 @@ def test_validator_passes_a_link_past_the_exponent_range():
     assert not any("floor" in issue for issue in issues)
 
 
+def test_validator_reports_a_zero_rate_on_an_idle_link_once(basic_params):
+    # 0 / 0 on the selected link raises no warning: the link is reported as
+    # having no rate and checked no further
+    s = Scenario(nodes=[VehicleNode(0, 0.0, 0.0), VehicleNode(1, 100.0, 0.0)], ego_id=0,
+                 data_volumes_bits=np.zeros((2, 2)), channel=basic_params, beta=0.8)
+    plan = optimize(s)
+    assert plan.selected_links() == [(1, 0)] and plan.delays[1, 0] == 0.0
+    plan.rates[1, 0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        issues = validate_plan(plan, s)
+    assert issues == ["link (1,0): rate must be positive on a selected link"]
+    assert issues == reference_validate_plan(plan, s)
+
+
 def test_validator_rejects_a_nan_compression_entry():
     s = random_scenario(3, 5, 4)
     plan = optimize(s)
