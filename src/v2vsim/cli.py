@@ -17,7 +17,7 @@ from .codec import (CodecConfig, EntropyModel, decode, deserialize_frame,
                     encode, rate_control, refine_model, serialize_frame)
 from .errors import ImageFormatError, InfeasibleError, ParseError, ValidationError
 from .fourier import align
-from .image_io import read_image, write_image
+from .image_io import ImageSet, read_image, write_image
 from .planner import exhaustive_optimum, optimize, validate_plan
 from .scenario_io import parse_scenario_document
 from .simulate import manifest_for, simulate, write_outputs, write_plan
@@ -123,10 +123,8 @@ def cmd_align(args) -> int:
 def cmd_simulate(args) -> int:
     text, doc = _load_scenario(args.scenario)
     base = Path(args.scenario).parent
-    images = {}
-    for node_id, rel in doc.image_paths.items():
-        path = Path(rel)
-        images[node_id] = read_image(path if path.is_absolute() else base / path)
+    images = ImageSet({node_id: base / rel  # an absolute rel replaces base
+                       for node_id, rel in doc.image_paths.items()})
     codec_cfg = _codec_config(args)
     result = simulate(doc.scenario, images, codec_cfg, args.alpha,
                       args.ratio_override)

@@ -27,9 +27,11 @@ Each stage drops every frame-sized array it no longer needs before it
 allocates the next.  ``encode``, ``rate_control`` and ``refine_model`` take
 their symbols from one quantizer, ``_quantize``, which rounds the quotient
 in the coefficients' own buffer.  Counted in float64 arrays the size of the
-padded frame (int64 symbols count the same), at their peak: ``encode`` and
-``rate_control`` hold 2 (the transform's two, then the coefficients and
-their symbols; ``encode`` counts the symbols through a clipped copy once the
+padded frame (int64 symbols count the same), at their peak, for a C-ordered
+image of any size (a side no block divides is edge-padded into a copy, which
+the transform's column pass overwrites): ``encode`` and ``rate_control``
+hold 2 (the transform's two, then the coefficients and their symbols;
+``encode`` counts the symbols through a clipped copy once the
 coefficients are gone, and the sorted copy is gone before ``rate_control``
 quantizes), ``deserialize_frame`` 2 (the symbols and their clipped copy; the
 payload is read through a view), ``decode`` 2 (the dequantized array, which
@@ -199,9 +201,14 @@ def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
     ``CodecConfig``'s step limit keeps ``c / step`` inside int64."""
     arr = check_image(img)
     h, w = arr.shape[:2]
-    pad = ((0, (-h) % block), (0, (-w) % block)) + ((0, 0),) * (arr.ndim - 2)
-    padded = np.pad(arr, pad, mode="edge") if h % block or w % block else arr
-    return arr, _blockwise(padded, block, True, np.empty(padded.shape))
+    padded = arr
+    if h % block or w % block:
+        pad = ((0, (-h) % block), (0, (-w) % block)) + ((0, 0),) * (arr.ndim - 2)
+        padded = np.pad(arr, pad, mode="edge")
+    # the column pass overwrites the padded copy, never the caller's array;
+    # np.pad keeps an F-ordered input's order, which ``out`` may not have
+    out = padded if padded is not arr and padded.flags.c_contiguous else np.empty(padded.shape)
+    return arr, _blockwise(padded, block, True, out)
 
 
 def _quantize(coeffs: np.ndarray, step: float) -> np.ndarray:

@@ -21,12 +21,17 @@ import numpy as np
 from .errors import ValidationError
 
 
-def check_image(img: np.ndarray, name: str = "image") -> np.ndarray:
-    """Validate dimensions and the range [0, 1] (NaN fails); returns the array as float64."""
-    arr = np.asarray(img, dtype=float)
+def check_layout(arr: np.ndarray, name: str = "image") -> None:
+    """Reject any array not shaped (H, W) or (H, W, 3)."""
     if not (arr.ndim == 2 or arr.ndim == 3 and arr.shape[2] == 3):
         raise ValidationError(f"{name}: expected an (H, W) or (H, W, 3) array, "
                               f"got shape {arr.shape}")
+
+
+def check_image(img: np.ndarray, name: str = "image") -> np.ndarray:
+    """Validate dimensions and the range [0, 1] (NaN fails); returns the array as float64."""
+    arr = np.asarray(img, dtype=float)
+    check_layout(arr, name)
     if arr.shape[0] < 2 or arr.shape[1] < 2:
         raise ValidationError(f"{name}: height and width must be >= 2, got {arr.shape[:2]}")
     if not (arr.min() >= 0.0 and arr.max() <= 1.0):

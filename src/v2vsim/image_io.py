@@ -2,9 +2,15 @@
 
 Writing rounds to the nearest of 256 levels with maxval 255; reading a file
 produced by :func:`write_image` reproduces the pixel bytes exactly.
+:func:`read_samples` checks a file and keeps its 8-bit samples;
+:func:`read_image` maps them to float64 as ``samples / maxval``.
+:class:`ImageSet` reads and checks a set of files up front but holds only
+their samples, building a float64 frame on each lookup.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator, Mapping
 
 import numpy as np
 
@@ -30,8 +36,9 @@ def _read_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def read_image(path) -> np.ndarray:
-    """Load a P5/P6 file as float64 in [0, 1]; (H, W) or (H, W, 3)."""
+def read_samples(path) -> tuple[np.ndarray, int]:
+    """Check a P5/P6 file and return its read-only uint8 samples, (H, W) or
+    (H, W, 3), with its maxval; no sample exceeds maxval."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic, pos = _read_token(data, 0)
@@ -59,10 +66,36 @@ def read_image(path) -> np.ndarray:
     samples = np.frombuffer(payload, dtype=np.uint8)
     if samples.max() > maxval:
         raise ImageFormatError(f"sample {samples.max()} exceeds maxval {maxval}")
-    arr = samples.astype(float) / maxval
-    if channels == 1:
-        return arr.reshape(height, width)
-    return arr.reshape(height, width, 3)
+    shape = (height, width) if channels == 1 else (height, width, 3)
+    return samples.reshape(shape), maxval
+
+
+def read_image(path) -> np.ndarray:
+    """Load a P5/P6 file as float64 in [0, 1]; (H, W) or (H, W, 3)."""
+    samples, maxval = read_samples(path)
+    return samples / maxval
+
+
+class ImageSet(Mapping):
+    """Read-only ``{key: image}`` over image files: every file is read and
+    checked at construction, in the order given, and kept as its 8-bit
+    samples; each lookup returns a new float64 frame, ``read_image``'s."""
+
+    def __init__(self, paths: Mapping):
+        self._samples = {key: read_samples(path) for key, path in paths.items()}
+
+    def __getitem__(self, key) -> np.ndarray:
+        samples, maxval = self._samples[key]
+        return samples / maxval
+
+    def __contains__(self, key) -> bool:  # Mapping's would build the frame
+        return key in self._samples
+
+    def __iter__(self) -> Iterator:
+        return iter(self._samples)
+
+    def __len__(self) -> int:
+        return len(self._samples)
 
 
 def write_image(path, img: np.ndarray) -> None:

@@ -9,7 +9,9 @@ maps pass one at a time, so a call holds about six image-sized maps), stability
 constants K1 = 0.01 and K2 = 0.03, canonical scale weights (0.0448, 0.2856,
 0.3001, 0.2363, 0.1333).  The luminance term is computed only at the coarsest
 scale, the only one that uses it.  Images smaller than 176 pixels on a side
-get a reduced scale count (renormalized weight prefix) and a warning.
+get a reduced scale count (renormalized weight prefix) and a warning.  Each
+metric takes two arrays of one shape, (H, W) or (H, W, 3); their values are
+not checked.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
+from .fourier import check_layout
 
 MS_SSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 SSIM_K1 = 0.01
@@ -30,8 +33,12 @@ SSIM_SIGMA = 1.5
 
 
 def _check_pair(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs as float64, of one shape, (H, W) or (H, W, 3).  Their
+    values are not checked: ``check_image``'s [0, 1] scan would add two
+    reductions per input to every score."""
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
+    check_layout(a)
     if a.shape != b.shape:
         raise ValidationError(f"image shapes differ: {a.shape} vs {b.shape}")
     return a, b

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
+from collections.abc import Mapping
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -124,16 +125,20 @@ def manifest_for(scenario_text: str, codec_cfg: CodecConfig,
     )
 
 
-def simulate(scenario: Scenario, images: dict[int, np.ndarray],
+def simulate(scenario: Scenario, images: Mapping[int, np.ndarray],
              codec_cfg: CodecConfig, align_alpha: float,
              ratio_override: float | None = None) -> SimulationResult:
     """Run the full pipeline once; build its manifest with ``manifest_for``.
 
-    ``images`` maps node ids to arrays.  The orchestration guarantees the
-    ratio handed to the codec on each link is exactly the plan's entry for
-    that link; ``ratio_override`` rewrites the plan's selected ratios (and
-    its delays, which depend on them) before anything is transmitted.  An
-    ``align_alpha`` outside [0, 1), NaN included, is rejected before planning.
+    ``images`` maps node ids to arrays: a dict, or any ``Mapping`` such as
+    ``image_io.ImageSet``, which builds a frame per lookup.  Each link looks
+    up its source frame when it starts and drops it with the reconstruction
+    when it ends; the ego frame is looked up only inside a link's align
+    step.  The orchestration guarantees the ratio handed to the codec on
+    each link is exactly the plan's entry for that link; ``ratio_override``
+    rewrites the plan's selected ratios (and its delays, which depend on
+    them) before anything is transmitted.  An ``align_alpha`` outside
+    [0, 1), NaN included, is rejected before planning.
     """
     check_alpha(align_alpha)
     plan = optimize(scenario)
@@ -151,8 +156,7 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
 
     em = EntropyModel.generic()
     ego_id = scenario.ego_id
-    ego_image = images.get(ego_id)
-    if align_alpha > 0 and ego_image is None:
+    if align_alpha > 0 and ego_id not in images:
         raise ValidationError(
             f"alignment requested (alpha={align_alpha}) but the ego node "
             f"{ego_id} has no image")
@@ -169,7 +173,7 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
             bits, recon = frame.bit_count, decode(frame)
             del frame  # only its bit count is used from here
             if link.dst == ego_id and align_alpha > 0:
-                recon = align(recon, ego_image, align_alpha)
+                recon = align(recon, images[ego_id], align_alpha)
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "image .* supports only", UserWarning)
                 quality = ms_ssim(src_img, recon)
@@ -179,7 +183,7 @@ def simulate(scenario: Scenario, images: dict[int, np.ndarray],
             raise
         pixels = src_img.shape[0] * src_img.shape[1]
         err = mse(src_img, recon)
-        del recon  # not held through the next link's rate control
+        del src_img, recon  # not held through the next link's rate control
         records.append(LinkRecord(
             **asdict(link), quant_step=step, bits=bits,
             bpp=bits / pixels, psnr_db=psnr_of_mse(err),

@@ -14,7 +14,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 import v2vsim
 from v2vsim.errors import ValidationError
 from v2vsim.metrics import (MS_SSIM_WEIGHTS, SSIM_K1, SSIM_K2, _downsample, _gaussian_window,
-                            _local_stats, feasible_scales, ms_ssim, psnr)
+                            _local_stats, feasible_scales, ms_ssim, mse, psnr)
 from v2vsim.simulate import REPORT_HEADER, QualityReport, csv_text
 
 MS_SSIM_GOLDEN = 0.9651751635890322  # pinned once from the reference path below
@@ -126,6 +126,16 @@ class TestPsnr:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             psnr(np.ones((4, 4)), np.ones((4, 5)))
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 1), (64, 64, 2), (4096,)])
+@pytest.mark.parametrize("score", [mse, psnr, ms_ssim])
+def test_scores_take_only_image_shapes(score, shape):
+    # check_image's rule, (H, W) or (H, W, 3): mse of two (64, 64, 2)
+    # arrays once read 0.0
+    x = np.full(shape, 0.5)
+    with pytest.raises(ValidationError, match=r"expected an \(H, W\) or \(H, W, 3\) array"):
+        score(x, x.copy())
 
 
 class TestMsSsim:

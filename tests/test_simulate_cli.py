@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import types
 import warnings
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,9 @@ from v2vsim.channel import ChannelParams, Scenario, VehicleNode
 from v2vsim.cli import _codec_config, build_parser, cmd_plan, main
 from v2vsim.codec import (CodecConfig, EntropyModel, decode, deserialize_frame,
                            rate_control)
-from v2vsim.errors import ValidationError
+from v2vsim.errors import ImageFormatError, ValidationError
 from v2vsim.fourier import align
-from v2vsim.image_io import read_image, write_image
+from v2vsim.image_io import ImageSet, read_image, write_image
 from v2vsim.metrics import mse, psnr
 from v2vsim.planner import CommPlan, optimize, validate_plan
 from v2vsim.scenario_io import format_scenario
@@ -143,6 +144,33 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak <= 7.6 * 176 * 176 * 8
+
+    @pytest.mark.parametrize("alpha, lookups", [(0.05, [1, 0, 2, 0]), (0.0, [1, 2])])
+    def test_frames_looked_up_per_link(self, alpha, lookups):
+        # each link's source when it starts, the ego frame only to align
+        class Recorder(Mapping):
+            def __init__(self, frames):
+                self.frames, self.lookups = frames, []
+
+            def __getitem__(self, key):
+                self.lookups.append(key)
+                return self.frames[key]
+
+            def __iter__(self):
+                return iter(self.frames)
+
+            def __len__(self):
+                return len(self.frames)
+
+            def __contains__(self, key):
+                return key in self.frames
+
+        img = sine_image()
+        images = Recorder({0: gradient_image(), 1: img, 2: img.copy()})
+        result = simulate(three_node_symmetric(float(img.size * 8)), images,
+                          CodecConfig(), align_alpha=alpha)
+        assert [(r.src, r.dst) for r in result.links] == [(1, 0), (2, 0)]
+        assert images.lookups == lookups
 
     def test_missing_source_image_names_link(self):
         s = two_node(1e6)
@@ -345,6 +373,76 @@ class TestWritePlan:
         finally:
             tracemalloc.stop()
         assert peak <= 9 * 150 * 150 * 8
+
+
+def camera_fleet(outdir: Path, n: int) -> list[str]:
+    """``main`` arguments of ``simulate`` on an n-node fleet of 176x176 gray
+    cameras in ``outdir``, whose plan sends two links into the ego node."""
+    frames = shifting_sequence(n, 176, 176)
+    volumes = np.zeros((n, n))
+    volumes[1:, 0] = frames[0].size * 8
+    params = ChannelParams(total_bandwidth_hz=20e6, num_subchannels=2,
+                           transmit_power_w=0.2, noise_level=1e-9,
+                           pathloss_exponent=2.7, reference_distance_m=10.0)
+    s = Scenario(nodes=[VehicleNode(k, 5.0 * k, 3.0 * (k % 3)) for k in range(n)],
+                 ego_id=0, data_volumes_bits=volumes, channel=params, beta=0.8,
+                 min_ego_links=2)
+    for k, frame in enumerate(frames):
+        write_image(outdir / f"n{k}.pgm", frame)
+    (outdir / "scene.scn").write_text(format_scenario(s, {k: f"n{k}.pgm" for k in range(n)}))
+    return ["simulate", "--scenario", str(outdir / "scene.scn"),
+            "--outdir", str(outdir / "out"), "--alpha", "0.05"]
+
+
+class TestImageSet:
+    @pytest.mark.parametrize("magic, shape, maxval", [
+        (b"P5", (7, 9), 255), (b"P6", (7, 9, 3), 255),
+        (b"P5", (7, 9), 100), (b"P6", (7, 9, 3), 7)])
+    def test_lookup_equals_read_image(self, tmp_path, magic, shape, maxval):
+        # bit for bit, and both are the samples as float64 over maxval
+        samples = np.random.default_rng(maxval).integers(0, maxval + 1, shape, dtype=np.uint8)
+        path = tmp_path / "img"
+        path.write_bytes(b"%s\n%d %d\n%d\n" % (magic, shape[1], shape[0], maxval)
+                         + samples.tobytes())
+        images = ImageSet({"a": path})
+        expected = samples.astype(float) / maxval
+        for got in (images["a"], read_image(path)):
+            assert got.dtype == np.float64 and got.shape == shape
+            assert got.tobytes() == expected.tobytes()
+        assert images["a"] is not images["a"]  # a new frame per lookup
+
+    def test_reads_every_file_up_front_in_order(self, tmp_path):
+        for name, data in (("good.pgm", b"P5\n2 1\n255\n\x00\x01"),
+                           ("short.pgm", b"P5\n2 2\n255\n\x00"),
+                           ("deep.pgm", b"P5\n2 2\n65535\n" + b"\x00" * 8)):
+            (tmp_path / name).write_bytes(data)
+        with pytest.raises(ImageFormatError, match="payload has 1 bytes"):
+            ImageSet({k: tmp_path / name for k, name in
+                      enumerate(("good.pgm", "short.pgm", "deep.pgm"))})
+        images = ImageSet({3: tmp_path / "good.pgm", 1: tmp_path / "good.pgm"})
+        assert (list(images), len(images), 3 in images, 0 in images) == ([3, 1], 2, True, False)
+        with pytest.raises(KeyError):
+            images[0]
+
+    def test_cli_working_set_grows_by_samples_per_node(self, tmp_path, capsys):
+        # one link's working set plus each node's 8-bit samples, 1/8 of a
+        # float64 frame (in 176x176 float64 arrays: 8.77 at 4 nodes, 9.28 at
+        # 8; a float64 frame held per node read 11.26 and 15.27)
+        peaks = {}
+        for n in (4, 8):
+            (tmp_path / str(n)).mkdir()
+            argv = camera_fleet(tmp_path / str(n), n)
+            assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1] / (176 * 176 * 8)
+            finally:
+                tracemalloc.stop()
+            assert "simulated 2 links" in capsys.readouterr().out
+        assert peaks[4] <= 8.95
+        assert peaks[8] <= 9.45
+        assert peaks[8] - peaks[4] <= 0.75
 
 
 @pytest.fixture
@@ -574,6 +672,32 @@ class TestCli:
             rc = main(["plan", "--scenario", str(path), "--outdir", str(tmp_path / "o")])
         assert rc == 3
         assert "ego connectivity" in capsys.readouterr().err
+
+    def test_truncated_image_of_an_unused_node_exits_4(self, tmp_path, capsys):
+        # every file is read and checked before planning, even one no link sends
+        s = two_node(float(gradient_image().size * 8))
+        volumes = np.full((3, 3), 1e9)  # one sub-channel: only 1->0 is sent
+        volumes[:2, :2], volumes[2, 2] = s.data_volumes_bits, 0.0
+        s = Scenario(nodes=[*s.nodes, VehicleNode(2, 0.0, 60.0)], ego_id=0,
+                     data_volumes_bits=volumes, channel=s.channel, beta=s.beta,
+                     min_ego_links=1)
+        for k, img in enumerate((gradient_image(), sine_image(), gradient_image())):
+            write_image(tmp_path / f"n{k}.pgm", img)
+        (tmp_path / "scene.scn").write_text(
+            format_scenario(s, {k: f"n{k}.pgm" for k in range(3)}))
+        argv = ["simulate", "--scenario", str(tmp_path / "scene.scn"), "--alpha", "0.05"]
+        assert main(argv + ["--outdir", str(tmp_path / "good")]) == 0
+        links = (tmp_path / "good" / "links.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in links] == [["1", "0"]]
+        data = (tmp_path / "n2.pgm").read_bytes()
+        (tmp_path / "n2.pgm").write_bytes(data[:100])
+        capsys.readouterr()
+        assert main(argv + ["--outdir", str(tmp_path / "bad")]) == 4
+        header = len(b"P5\n32 32\n255\n")
+        assert data[:header] == b"P5\n32 32\n255\n"
+        assert capsys.readouterr().err == (
+            f"i/o error: payload has {100 - header} bytes, expected {32 * 32}\n")
+        assert not (tmp_path / "bad").exists()
 
     def test_missing_file_exits_4(self, tmp_path):
         rc = main(["plan", "--scenario", str(tmp_path / "nope.scn"),
