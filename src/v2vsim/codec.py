@@ -26,18 +26,24 @@ Only the step it returns is quantized; its frame keeps the search's bits.
 Each stage drops every frame-sized array it no longer needs before it
 allocates the next.  ``encode``, ``rate_control`` and ``refine_model`` take
 their symbols from one quantizer, ``_quantize``, which rounds the quotient
-in the coefficients' own buffer.  Counted in float64 arrays the size of the
-padded frame (int64 symbols count the same), at their peak, for a C-ordered
-image of any size (a side no block divides is edge-padded into a copy, which
-the transform's column pass overwrites): ``encode`` and ``rate_control``
-hold 2 (the transform's two, then the coefficients and their symbols;
-``encode`` counts the symbols through a clipped copy once the
-coefficients are gone, and the sorted copy is gone before ``rate_control``
-quantizes), ``deserialize_frame`` 2 (the symbols and their clipped copy; the
-payload is read through a view), ``decode`` 2 (the dequantized array, which
-the inverse transform's column pass overwrites, and the row pass's product),
-and ``refine_model`` 2 over any number of frames (as ``encode``, and nothing
-is held into the next frame).
+in the coefficients' own buffer and stores the symbols as int16, the
+container's width, whenever ``block / step <= 32766`` (every grid step on
+the default block 8), else as int64.  Counted in float64 arrays the size of
+the padded frame (int16 symbols count a quarter), at their peak, for an
+image of any size and layout (``check_image`` makes it C-ordered; a side no
+block divides is edge-padded into a copy, which the transform's column pass
+overwrites): ``encode`` and ``rate_control`` hold 2 (the transform's two,
+then the coefficients and their symbols; ``encode`` counts the symbols
+through a clipped int64 copy once the coefficients are gone, and the sorted
+copy is gone before ``rate_control`` quantizes), ``serialize_frame`` 0.25
+(the container; int16 symbols are written as they are),
+``deserialize_frame`` about 1 (the clipped copy that is counted; the symbols
+are a read-only view of an immutable container), ``decode`` 2 (the
+dequantized array, which the inverse transform's column pass overwrites, and
+the row pass's product), and ``refine_model`` 2 over any number of frames
+(as ``encode``, and nothing is held into the next frame).  A whole round
+trip, ``rate_control``, ``serialize_frame``, ``deserialize_frame`` and
+``decode`` with every output held, peaks at 2.5.
 """
 
 from __future__ import annotations
@@ -138,8 +144,11 @@ class EncodedFrame:
     shaped (H, W) or (H, W, 3).
 
     ``qcoeffs`` is laid out like the padded image: (padH, padW) for grayscale
-    or (padH, padW, 3) for color.  ``bit_count`` is computed from the model
-    at encode time, never patched afterwards.
+    or (padH, padW, 3) for color.  The codec makes it int16 when
+    ``block_size / quant_step <= 32766``, else int64 (``_symbol_dtype``); a
+    frame read from an immutable container holds a read-only view of it.
+    ``bit_count`` is computed from the model at encode time, never patched
+    afterwards.
     """
 
     qcoeffs: np.ndarray
@@ -194,44 +203,56 @@ def _blockwise(x: np.ndarray, block: int, forward: bool, out: np.ndarray) -> np.
     return out
 
 
-def _transform(img: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """The checked image (``check_image``: values in [0, 1]) and its block-DCT
-    coefficients, laid out like the edge-padded image: (padH, padW) or (padH,
-    padW, channels).  Every coefficient has |c| <= block (up to rounding), so
-    ``CodecConfig``'s step limit keeps ``c / step`` inside int64."""
+def _transform(img: np.ndarray, block: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The shape of the checked image (``check_image``: values in [0, 1]) and
+    its block-DCT coefficients, laid out like the edge-padded image: (padH,
+    padW) or (padH, padW, channels).  Every coefficient has |c| <= block (up
+    to rounding), so ``CodecConfig``'s step limit keeps ``c / step`` inside
+    int64, and ``block / step <= 32766`` inside int16 (``_symbol_dtype``).
+
+    The column pass overwrites a copy when there is one (the edge-padded
+    image, or ``check_image``'s C-ordered float64 copy), never the caller's
+    array, and no copy outlives the pass that reads it."""
     arr = check_image(img)
-    h, w = arr.shape[:2]
-    padded = arr
+    shape = arr.shape
+    h, w = shape[:2]
     if h % block or w % block:
         pad = ((0, (-h) % block), (0, (-w) % block)) + ((0, 0),) * (arr.ndim - 2)
-        padded = np.pad(arr, pad, mode="edge")
-    # the column pass overwrites the padded copy, never the caller's array;
-    # np.pad keeps an F-ordered input's order, which ``out`` may not have
-    out = padded if padded is not arr and padded.flags.c_contiguous else np.empty(padded.shape)
-    return arr, _blockwise(padded, block, True, out)
+        arr = np.pad(arr, pad, mode="edge")  # C-ordered, as its input is
+    elif arr is img or not arr.flags.owndata:  # the caller's memory
+        return shape, _blockwise(arr, block, True, np.empty(shape))
+    return shape, _blockwise(arr, block, True, arr)  # overwrite our own copy
 
 
-def _quantize(coeffs: np.ndarray, step: float) -> np.ndarray:
-    """The int64 symbols ``rint(coeffs / step)``, rounded in ``coeffs``' own
-    buffer, which is left holding the rounded quotient: a caller drops
-    ``coeffs`` before it prices the symbols."""
-    return np.rint(np.divide(coeffs, step, out=coeffs), out=coeffs).astype(np.int64)
+def _symbol_dtype(block: int, step: float) -> type:
+    """int16 when ``block / step <= 32766``, else int64.  |c| <= block (up to
+    rounding), so every symbol then fits the container's +-32767."""
+    return np.int16 if block / step <= 32766 else np.int64
 
 
-def _frame(arr: np.ndarray, q: np.ndarray, step: float, block: int,
+def _quantize(coeffs: np.ndarray, step: float, block: int) -> np.ndarray:
+    """The symbols ``rint(coeffs / step)`` of a block-``block`` transform, as
+    ``_symbol_dtype`` picks, rounded in ``coeffs``' own buffer, which is left
+    holding the rounded quotient: a caller drops ``coeffs`` before it prices
+    the symbols."""
+    return np.rint(np.divide(coeffs, step, out=coeffs),
+                   out=coeffs).astype(_symbol_dtype(block, step))
+
+
+def _frame(shape: tuple[int, ...], q: np.ndarray, step: float, block: int,
            em: EntropyModel, bits: float) -> EncodedFrame:
-    """The frame of the symbols ``q`` of the checked image ``arr``."""
+    """The frame of the symbols ``q`` of a checked image shaped ``shape``."""
     return EncodedFrame(qcoeffs=q, quant_step=step, model_id=em.model_id, bit_count=bits,
-                        height=arr.shape[0], width=arr.shape[1],
-                        channels=1 if arr.ndim == 2 else arr.shape[2], block_size=block)
+                        height=shape[0], width=shape[1],
+                        channels=1 if len(shape) == 2 else shape[2], block_size=block)
 
 
 def encode(img: np.ndarray, cfg: CodecConfig, em: EntropyModel) -> EncodedFrame:
     """Transform, quantize, and price an image under the entropy model."""
-    arr, coeffs = _transform(img, cfg.block_size)
-    q = _quantize(coeffs, cfg.quant_step)
+    shape, coeffs = _transform(img, cfg.block_size)
+    q = _quantize(coeffs, cfg.quant_step, cfg.block_size)
     del coeffs  # before pricing allocates its clipped copy
-    return _frame(arr, q, cfg.quant_step, cfg.block_size, em, em.bits_for_symbols(q))
+    return _frame(shape, q, cfg.quant_step, cfg.block_size, em, em.bits_for_symbols(q))
 
 
 def decode(frame: EncodedFrame) -> np.ndarray:
@@ -244,7 +265,7 @@ def decode(frame: EncodedFrame) -> np.ndarray:
         raise ValidationError(
             f"coefficient layout {q.shape[:2]} does not match padded dims {expected_pad}")
     with np.errstate(over="ignore", invalid="ignore"):
-        rec = np.multiply(q, frame.quant_step, order="C")
+        rec = np.multiply(q, frame.quant_step, order="C", dtype=float)
         _blockwise(rec, frame.block_size, False, out=rec)  # the column pass overwrites rec
     if not np.all(np.isfinite(rec)):
         raise ValidationError(
@@ -312,8 +333,8 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
     """
     if not (0 < ratio <= 1):
         raise ValidationError("ratio must lie in (0, 1]")
-    arr, coeffs = _transform(img, cfg.block_size)
-    allowed = (1.0 + cfg.rate_tolerance) * ratio * (arr.size * 8)
+    shape, coeffs = _transform(img, cfg.block_size)
+    allowed = (1.0 + cfg.rate_tolerance) * ratio * (math.prod(shape) * 8)
 
     grid = QUANT_STEP_GRID
     # |c / step| <= 1/2 rounds to 0 (ties to even) at every grid step
@@ -347,7 +368,8 @@ def rate_control(img: np.ndarray, ratio: float, em: EntropyModel,
             lo = mid + 1
     del ordered  # before the chosen step is quantized
     step = float(grid[hi])
-    return step, _frame(arr, _quantize(coeffs, step), step, cfg.block_size, em, bits)
+    q = _quantize(coeffs, step, cfg.block_size)
+    return step, _frame(shape, q, step, cfg.block_size, em, bits)
 
 
 def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
@@ -363,7 +385,7 @@ def refine_model(em: EntropyModel, raw_frames: list[np.ndarray],
     counts = np.zeros(2 * em.radius + 1)
     for raw in raw_frames:
         _, coeffs = _transform(raw, cfg.block_size)
-        q = _quantize(coeffs, cfg.quant_step)
+        q = _quantize(coeffs, cfg.quant_step, cfg.block_size)
         del coeffs  # before counting allocates its clipped copy
         counts += _symbol_counts(q, em.radius)
         del q  # not held through the next frame's transform
@@ -387,14 +409,16 @@ def serialize_frame(frame: EncodedFrame) -> bytes:
     header = struct.pack("<4sBBBBHHHHd", FRAME_MAGIC, FRAME_VERSION, frame.channels,
                          frame.block_size, len(model_id), frame.height, frame.width,
                          pad_h, pad_w, frame.quant_step)
-    return b"".join((header, model_id, q.astype("<i2", order="C")))
+    return b"".join((header, model_id, q.astype("<i2", order="C", copy=False)))
 
 
 def deserialize_frame(data: bytes, em: EntropyModel | None = None) -> EncodedFrame:
     """Unpack a frame container; recomputes bit_count when a model is given.
 
     Without a model the bit count is NaN, since estimates are only defined
-    relative to a symbol distribution.
+    relative to a symbol distribution.  The symbols are the container's int16
+    payload: a read-only view of an immutable ``data`` (``bytes``), a copy of
+    a writable one, so a frame never aliases a buffer its caller may change.
     """
     if len(data) < 24:
         raise ValidationError("frame container truncated")
@@ -432,7 +456,9 @@ def deserialize_frame(data: bytes, em: EntropyModel | None = None) -> EncodedFra
         raise ValidationError(
             f"quantization step {quant_step} overflows on dequantization")
     shape = (pad_h, pad_w) if channels == 1 else (pad_h, pad_w, channels)
-    q = wire.astype(np.int64).reshape(shape)
+    q = wire.reshape(shape)
+    if wire.flags.writeable:
+        q = q.copy()
     if em is not None and em.model_id != model_id:
         raise ValidationError(
             f"container was priced under model '{model_id}', got '{em.model_id}'")

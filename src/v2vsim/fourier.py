@@ -29,8 +29,9 @@ def check_layout(arr: np.ndarray, name: str = "image") -> None:
 
 
 def check_image(img: np.ndarray, name: str = "image") -> np.ndarray:
-    """Validate dimensions and the range [0, 1] (NaN fails); returns the array as float64."""
-    arr = np.asarray(img, dtype=float)
+    """Validate dimensions and the range [0, 1] (NaN fails); returns the array
+    as C-ordered float64, a copy only when ``img`` is not that already."""
+    arr = np.ascontiguousarray(img, dtype=float)
     check_layout(arr, name)
     if arr.shape[0] < 2 or arr.shape[1] < 2:
         raise ValidationError(f"{name}: height and width must be >= 2, got {arr.shape[:2]}")
