@@ -58,6 +58,7 @@ class ChannelParams:
             raise ValidationError("total_bandwidth_hz must be positive")
         if self.num_subchannels < 1 or int(self.num_subchannels) != self.num_subchannels:
             raise ValidationError("num_subchannels must be an integer >= 1")
+        object.__setattr__(self, "num_subchannels", int(self.num_subchannels))  # 2.0 plans as 2
         if self.transmit_power_w <= 0:
             raise ValidationError("transmit_power_w must be positive")
         if self.noise_level <= 0:
@@ -143,6 +144,7 @@ class Scenario:
             raise ValidationError("distance_scale_m must be positive and finite")
         if not (self.min_ego_links >= 1 and float(self.min_ego_links).is_integer()):
             raise ValidationError("min_ego_links must be an integer >= 1")
+        self.min_ego_links = int(self.min_ego_links)  # 2.0 plans as 2
         self.data_volumes_bits = vol
         self._ego_index = ids.index(self.ego_id)
 

@@ -71,6 +71,7 @@ QUANT_STEP_GRID = np.geomspace(0.004, 16.0, num=60)
 
 FRAME_MAGIC = b"VCQ1"
 FRAME_VERSION = 1
+FRAME_HEADER = struct.Struct("<4sBBBBHHHHd")  # the 24-byte header of docs/formats.md
 
 
 @dataclass(frozen=True)
@@ -203,6 +204,11 @@ def _blockwise(x: np.ndarray, block: int, forward: bool, out: np.ndarray) -> np.
     return out
 
 
+def _padded(side: int, block: int) -> int:
+    """``side`` rounded up to a multiple of ``block``."""
+    return side + (-side) % block
+
+
 def _transform(img: np.ndarray, block: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The shape of the checked image (``check_image``: values in [0, 1]) and
     its block-DCT coefficients, laid out like the edge-padded image: (padH,
@@ -216,8 +222,9 @@ def _transform(img: np.ndarray, block: int) -> tuple[tuple[int, ...], np.ndarray
     arr = check_image(img)
     shape = arr.shape
     h, w = shape[:2]
-    if h % block or w % block:
-        pad = ((0, (-h) % block), (0, (-w) % block)) + ((0, 0),) * (arr.ndim - 2)
+    pad_h, pad_w = _padded(h, block), _padded(w, block)
+    if (pad_h, pad_w) != (h, w):
+        pad = ((0, pad_h - h), (0, pad_w - w)) + ((0, 0),) * (arr.ndim - 2)
         arr = np.pad(arr, pad, mode="edge")  # C-ordered, as its input is
     elif arr is img or not arr.flags.owndata:  # the caller's memory
         return shape, _blockwise(arr, block, True, np.empty(shape))
@@ -259,8 +266,8 @@ def decode(frame: EncodedFrame) -> np.ndarray:
     """Dequantize and inverse-transform; output clipped to [0, 1].  Raises
     ValidationError when the reconstruction overflows to non-finite values."""
     q = frame.qcoeffs
-    expected_pad = (frame.height + (-frame.height) % frame.block_size,
-                    frame.width + (-frame.width) % frame.block_size)
+    expected_pad = (_padded(frame.height, frame.block_size),
+                    _padded(frame.width, frame.block_size))
     if q.shape[:2] != expected_pad:
         raise ValidationError(
             f"coefficient layout {q.shape[:2]} does not match padded dims {expected_pad}")
@@ -406,9 +413,9 @@ def serialize_frame(frame: EncodedFrame) -> bytes:
     if max(pad_h, pad_w) > 65535:
         raise ValidationError(
             f"padded image {pad_h}x{pad_w} exceeds the container's limit of 65535 per side")
-    header = struct.pack("<4sBBBBHHHHd", FRAME_MAGIC, FRAME_VERSION, frame.channels,
-                         frame.block_size, len(model_id), frame.height, frame.width,
-                         pad_h, pad_w, frame.quant_step)
+    header = FRAME_HEADER.pack(FRAME_MAGIC, FRAME_VERSION, frame.channels,
+                               frame.block_size, len(model_id), frame.height, frame.width,
+                               pad_h, pad_w, frame.quant_step)
     return b"".join((header, model_id, q.astype("<i2", order="C", copy=False)))
 
 
@@ -420,22 +427,21 @@ def deserialize_frame(data: bytes, em: EntropyModel | None = None) -> EncodedFra
     payload: a read-only view of an immutable ``data`` (``bytes``), a copy of
     a writable one, so a frame never aliases a buffer its caller may change.
     """
-    if len(data) < 24:
+    if len(data) < FRAME_HEADER.size:
         raise ValidationError("frame container truncated")
-    if data[:4] != FRAME_MAGIC:
+    (magic, version, channels, block_size, id_len, height, width, pad_h, pad_w,
+     quant_step) = FRAME_HEADER.unpack_from(data)
+    if magic != FRAME_MAGIC:
         raise ValidationError("bad magic; not a frame container")
-    version, channels, block_size, id_len = struct.unpack("<BBBB", data[4:8])
     if version != FRAME_VERSION:
         raise ValidationError(f"unsupported container version {version}")
-    height, width, pad_h, pad_w = struct.unpack("<HHHH", data[8:16])
-    (quant_step,) = struct.unpack("<d", data[16:24])
     if channels not in (1, 3):
         raise ValidationError(f"channel count must be 1 or 3, got {channels}")
     if block_size < 1:
         raise ValidationError("block size must be >= 1")
     if height < 1 or width < 1:
         raise ValidationError(f"height and width must be >= 1, got {height}x{width}")
-    expected_pad = (height + (-height) % block_size, width + (-width) % block_size)
+    expected_pad = (_padded(height, block_size), _padded(width, block_size))
     if (pad_h, pad_w) != expected_pad:
         raise ValidationError(
             f"padded dims {pad_h}x{pad_w} are not {height}x{width} rounded up "
@@ -443,10 +449,10 @@ def deserialize_frame(data: bytes, em: EntropyModel | None = None) -> EncodedFra
     if not (math.isfinite(quant_step) and quant_step > 0):
         raise ValidationError(f"quantization step must be finite and positive, got {quant_step}")
     try:
-        model_id = data[24:24 + id_len].decode("utf-8")
+        model_id = data[FRAME_HEADER.size:FRAME_HEADER.size + id_len].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"model id is not valid UTF-8: {exc}") from None
-    payload = memoryview(data)[24 + id_len:]  # a view, not a copy of the coefficients
+    payload = memoryview(data)[FRAME_HEADER.size + id_len:]  # a view, not a copy
     expected = pad_h * pad_w * channels * 2
     if len(payload) != expected:
         raise ValidationError(

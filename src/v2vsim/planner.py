@@ -38,9 +38,9 @@ the candidates at or below that cut.  Every pass over the n x n matrices
 finds its entries by flat index, row-major.
 
 Memory, in n x n float64 arrays: ``_candidates`` drops the distance and
-capacity matrices once gathered and computes the floors and delays in place;
+capacity matrices once gathered and the distances once it has the floors;
 ``optimize`` partitions one copy of the delays in place and drops the
-candidates before it builds the plan's four matrices.  Each peaks at about 7.
+candidates before it builds the plan's four matrices.  Each peaks at about 6.
 
 Ties: where several link sets reach exactly the same average (in practice
 sets that differ in idle pairs, whose zero volume gives delay 0), the plan
@@ -140,7 +140,6 @@ class Candidates:
     src: np.ndarray
     dst: np.ndarray
     capacity_bps: np.ndarray
-    distance_m: np.ndarray
     ratio_floor: np.ndarray
     delay_s: np.ndarray
 
@@ -159,11 +158,12 @@ def _candidates(scenario: Scenario) -> Candidates:
     del caps, dists
     src, dst = np.divmod(flat, len(scenario.nodes))
     floor = _ratio_floor(dist, scenario.beta, scenario.distance_scale_m)
+    del dist
     delay = scenario.data_volumes_bits.take(flat)
     np.multiply(floor, delay, out=delay)
     with np.errstate(over="ignore"):  # a delay past the float range is inf; no plan picks it
         np.divide(delay, cap, out=delay)
-    return Candidates(src, dst, cap, dist, floor, delay)
+    return Candidates(src, dst, cap, floor, delay)
 
 
 def _check_feasible(scenario: Scenario, candidates: Candidates) -> None:

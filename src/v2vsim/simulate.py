@@ -66,7 +66,6 @@ class QualityReport:
 PLAN_CSV_HEADER = ",".join(f.name for f in fields(PlanLink))
 LINKS_HEADER = ",".join(f.name for f in fields(LinkRecord))
 REPORT_HEADER = ",".join(f.name for f in fields(QualityReport))
-PLAN_TXT_SLICE = 1 << 16  # characters of plan.txt encoded per write
 
 
 def _fmt(value) -> str:
@@ -204,42 +203,17 @@ def simulate(scenario: Scenario, images: Mapping[int, np.ndarray],
 
 
 def plan_matrix_report(plan: CommPlan) -> str:
-    """Human-readable matrix dump of a plan.
-
-    At most ``num_subchannels`` links are selected and every other entry of a
-    matrix shares the value of its diagonal.  So each block formats
-    ``matrix[0, 0]`` once, writes every row as that value repeated, and
-    formats only the entries that differ from it, patching them into their
-    rows.  Floats are compared by bit pattern, so ``-0.0`` and ``0.0`` (and
-    NaN payloads) keep their own text.  The result equals one ``format``
-    call per element.
-    """
-    out = []
-
-    def block(title: str, matrix: np.ndarray, fmt: str) -> None:
-        n_rows, n_cols = matrix.shape
-        rows = [""] * n_rows
-        if matrix.size:
-            keys = matrix.view(f"u{matrix.itemsize}") if matrix.dtype.kind == "f" else matrix
-            base = format(matrix.flat[0].item(), fmt)
-            rows = [" ".join([base] * n_cols)] * n_rows
-            patched: dict[int, list[str]] = {}
-            flat = np.flatnonzero(keys != keys.flat[0])
-            for k, v in zip(flat.tolist(), matrix.take(flat).tolist()):
-                i, j = divmod(k, n_cols)
-                patched.setdefault(i, [base] * n_cols)[j] = format(v, fmt)
-            for i, cells in patched.items():
-                rows[i] = " ".join(cells)
-        out.append(title)
-        out.extend(rows)
-        out.append("")
-
-    block("link matrix", plan.link_matrix, "d")
-    block("compression ratios", plan.compression, ".6f")
-    block("rates (bit/s)", plan.rates, ".6g")
-    block("delays (s)", plan.delays, ".9g")
-    out += [f"average delay (s): {_fmt(plan.avg_delay_s)}", ""]
-    return "\n".join(out)
+    """``plan.txt``: the 0/1 link matrix, one row per line, a blank line and the
+    average delay; ``plan.csv`` holds each link's ratio, rate and delay.  At
+    most ``num_subchannels`` links are selected, so the all-``0`` rows share
+    one string and only the rows holding a link are formatted, one
+    ``format(v, "d")`` per entry (a ``bool`` matrix prints ``0``/``1`` too)."""
+    link = plan.link_matrix
+    rows = [" ".join(["0"] * link.shape[1])] * link.shape[0]
+    for i in np.flatnonzero(link.any(axis=1)).tolist():
+        rows[i] = " ".join(format(v, "d") for v in link[i].tolist())
+    return "\n".join(["link matrix", *rows, "",
+                      f"average delay (s): {_fmt(plan.avg_delay_s)}", ""])
 
 
 def plan_csv(plan: CommPlan, scenario: Scenario) -> str:
@@ -249,10 +223,7 @@ def plan_csv(plan: CommPlan, scenario: Scenario) -> str:
 def write_plan(plan: CommPlan, scenario: Scenario, outdir: Path) -> None:
     """Write ``plan.txt`` and ``plan.csv`` into ``outdir``, creating it."""
     outdir.mkdir(parents=True, exist_ok=True)
-    report = plan_matrix_report(plan)
-    with open(outdir / "plan.txt", "wb") as f:  # in slices: no encoded copy of the whole
-        for k in range(0, len(report), PLAN_TXT_SLICE):
-            f.write(report[k:k + PLAN_TXT_SLICE].encode())
+    (outdir / "plan.txt").write_bytes(plan_matrix_report(plan).encode())
     (outdir / "plan.csv").write_bytes(plan_csv(plan, scenario).encode())
 
 

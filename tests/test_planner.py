@@ -22,7 +22,6 @@ from v2vsim.planner import (GAMMA_MIN, Candidates, CommPlan, _candidates,
                             compression_lower_bound,
                             exhaustive_optimum, optimize,
                             validate_plan)
-from v2vsim.simulate import plan_matrix_report
 from v2vsim.synth import random_scenario
 
 
@@ -187,9 +186,9 @@ class TestOptimize:
     def test_candidate_floors_equal_scalar_bound(self, fleet_40):
         c = _candidates(fleet_40)
         assert len(c) == 40 * 39
-        for i, j, dist, floor in zip(c.src, c.dst, c.distance_m, c.ratio_floor):
+        for i, j, floor in zip(c.src, c.dst, c.ratio_floor):
             a, b = fleet_40.nodes[i], fleet_40.nodes[j]
-            assert dist == np.hypot(a.x - b.x, a.y - b.y)
+            dist = np.hypot(a.x - b.x, a.y - b.y)
             assert floor == compression_lower_bound(dist, fleet_40.beta,
                                                     fleet_40.distance_scale_m)
 
@@ -599,7 +598,7 @@ def reference_candidates(scenario: Scenario) -> Candidates:
     floor = np.maximum(scenario.beta * np.exp(-dist / scenario.distance_scale_m), GAMMA_MIN)
     with np.errstate(over="ignore"):
         delay = floor * scenario.data_volumes_bits[src, dst] / cap
-    return Candidates(src, dst, cap, dist, floor, delay)
+    return Candidates(src, dst, cap, floor, delay)
 
 
 def reference_optimize(scenario: Scenario) -> CommPlan:
@@ -701,9 +700,18 @@ def test_candidates_equal_the_2d_gather_bit_for_bit():
 
     for k, s in enumerate(byte_check_fleets()):
         got, want = _candidates(s), reference_candidates(s)
-        for field in ("src", "dst", "capacity_bps", "distance_m", "ratio_floor", "delay_s"):
+        for field in ("src", "dst", "capacity_bps", "ratio_floor", "delay_s"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (k, field)
+
+
+def assert_same_plan(plan: CommPlan, want: CommPlan, label) -> None:
+    """The four matrices equal byte for byte, in the same dtype and shape,
+    and the averages have the same ``repr``."""
+    for name in ("link_matrix", "compression", "rates", "delays"):
+        a, b = getattr(plan, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (label, name)
+    assert repr(plan.avg_delay_s) == repr(want.avg_delay_s), label
 
 
 def test_optimize_equals_the_reference_scan_bit_for_bit():
@@ -714,16 +722,14 @@ def test_optimize_equals_the_reference_scan_bit_for_bit():
         if got[0] is InfeasibleError:
             infeasible += 1
             continue
-        plan, ref = optimize(s), reference_optimize(s)
-        for name in ("link_matrix", "compression", "rates", "delays"):
-            assert getattr(plan, name).dtype == getattr(ref, name).dtype, (k, name)
-        assert plan_matrix_report(plan) == plan_matrix_report(ref), k
+        assert_same_plan(optimize(s), reference_optimize(s), k)
     assert 0 < infeasible < len(byte_check_fleets()) // 2
 
 
 def test_optimize_working_set_at_300_nodes():
-    # the six candidate arrays plus one partitioned copy of the delays; the
-    # distance and capacity matrices and the candidates are dropped in turn
+    # the five candidate arrays plus one partitioned copy of the delays; the
+    # distance and capacity matrices, the gathered distances and the
+    # candidates are dropped in turn
     s = perfbench_like_fleet(np.random.default_rng(300), 300, 12, 500.0)
     optimize(s)
     tracemalloc.start()
@@ -732,7 +738,7 @@ def test_optimize_working_set_at_300_nodes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7.5 * 300 * 300 * 8
+    assert peak <= 6.5 * 300 * 300 * 8
 
 
 def test_selected_links_are_python_ints_in_row_major_order():
@@ -793,6 +799,25 @@ def test_validator_rejects_a_nan_compression_entry():
     plan.compression[0, 0] = math.nan  # off the selected links
     want = ["compression entries must lie in (0, 1]"]
     assert validate_plan(plan, s) == reference_validate_plan(plan, s) == want
+
+
+def test_whole_number_float_counts_plan_as_ints():
+    # 2.0 sub-channels and 2.0 required ego links pass validation as "an
+    # integer >= 1" and are stored as 2, so every planner path plans as with 2
+    base = random_scenario(3, 5, 4)
+
+    def with_counts(count):
+        return dataclasses.replace(
+            base, channel=dataclasses.replace(base.channel, num_subchannels=count),
+            min_ego_links=count)
+
+    s, s_float = with_counts(2), with_counts(2.0)
+    for solve in (optimize, exhaustive_optimum):
+        plan, got = solve(s), solve(s_float)
+        assert plan.num_links == 2
+        assert_same_plan(got, plan, solve)
+        assert validate_plan(got, s_float) == validate_plan(plan, s) == []
+    assert type(s_float.channel.num_subchannels) is int and type(s_float.min_ego_links) is int
 
 
 @pytest.mark.parametrize("skew", [1.0, 1.5])

@@ -25,9 +25,9 @@ from v2vsim.image_io import ImageSet, read_image, write_image
 from v2vsim.metrics import mse, psnr
 from v2vsim.planner import CommPlan, optimize, validate_plan
 from v2vsim.scenario_io import format_scenario
-from v2vsim.simulate import (LINKS_HEADER, PLAN_CSV_HEADER, PLAN_TXT_SLICE, REPORT_HEADER,
-                             _fmt, manifest_for, plan_matrix_report, simulate,
-                             write_outputs, write_plan)
+from v2vsim.simulate import (LINKS_HEADER, PLAN_CSV_HEADER, REPORT_HEADER, _fmt,
+                             manifest_for, plan_matrix_report, simulate, write_outputs,
+                             write_plan)
 from v2vsim.synth import shifting_sequence, sine_image
 
 from images import gradient_image
@@ -245,36 +245,31 @@ def test_plan_matrix_report_formats_each_element():
     plan = CommPlan(link, rng.random((n, n)), 10 ** rng.uniform(-3, 9, (n, n)),
                     link * 10 ** rng.uniform(-12, 3, (n, n)), 0.5)
     lines = plan_matrix_report(plan).splitlines()
-    blocks = ((plan.link_matrix, "d"), (plan.compression, ".6f"),
-              (plan.rates, ".6g"), (plan.delays, ".9g"))
-    for b, (matrix, fmt) in enumerate(blocks):
-        first = b * (n + 2) + 1
-        assert lines[first:first + n] == [" ".join(format(v, fmt) for v in row)
-                                          for row in matrix]
-    # entries that differ from the diagonal's value only in the last row and
-    # the last column, corners included, are patched into their own rows
+    assert lines[1:n + 1] == [" ".join(format(v, "d") for v in row) for row in link]
+    assert lines[n + 1:] == ["", "average delay (s): 0.5"]
+    # links only in the last row and the last column, corners included: only
+    # their rows are formatted, the others share the all-0 row
     link = np.zeros((n, n), dtype=int)
-    ratio, rates, delays = np.ones((n, n)), np.zeros((n, n)), np.zeros((n, n))
     for i, j in ((n - 1, 0), (n - 1, 4), (0, n - 1), (5, n - 1), (n - 1, n - 1)):
         link[i, j] = 1
-        ratio[i, j], rates[i, j], delays[i, j] = rng.random(), 10 ** rng.uniform(-3, 9), -0.0
-    delays[n - 1, 3] = 10 ** rng.uniform(-12, 3)
-    edges = CommPlan(link, ratio, rates, delays, 0.25)
+    edges = CommPlan(link, np.ones((n, n)), link * 1e6, link * 0.25, 0.25)
     assert plan_matrix_report(edges) == reference_matrix_report(edges)
 
 
 def reference_matrix_report(plan: CommPlan) -> str:
-    """plan.txt with one ``format`` call per element."""
-    out = []
-    for title, matrix, fmt in (("link matrix", plan.link_matrix, "d"),
-                               ("compression ratios", plan.compression, ".6f"),
-                               ("rates (bit/s)", plan.rates, ".6g"),
-                               ("delays (s)", plan.delays, ".9g")):
-        out.append(title)
-        out += [" ".join(format(v, fmt) for v in row) for row in matrix.tolist()]
-        out.append("")
-    out.append(f"average delay (s): {_fmt(plan.avg_delay_s)}")
-    return "\n".join(out) + "\n"
+    """plan.txt with one ``format`` call per element of the link matrix."""
+    rows = [" ".join(format(v, "d") for v in row) for row in plan.link_matrix.tolist()]
+    return "\n".join(["link matrix", *rows, "",
+                      f"average delay (s): {_fmt(plan.avg_delay_s)}"]) + "\n"
+
+
+def assert_same_plan(plan: CommPlan, want: CommPlan) -> None:
+    """The four matrices equal byte for byte, in the same dtype and shape,
+    and the averages have the same ``repr``."""
+    for name in ("link_matrix", "compression", "rates", "delays"):
+        a, b = getattr(plan, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert repr(plan.avg_delay_s) == repr(want.avg_delay_s)
 
 
 def random_fleet(n: int, subchannels: int, seed: int) -> Scenario:
@@ -304,11 +299,23 @@ class TestPlanMatrixReportBytes:
         assert plan_matrix_report(plan) == reference_matrix_report(plan)
 
     def test_ratio_override_plan(self):
+        # the override's ratios and delays are in plan.csv only: the plan
+        # equals the optimum with each selected ratio 0.3 and its delay
+        # recomputed link by link
         img = sine_image()
-        result = simulate(three_node_symmetric(float(img.size * 8)),
-                          {0: gradient_image(), 1: img, 2: img},
+        s = three_node_symmetric(float(img.size * 8))
+        result = simulate(s, {0: gradient_image(), 1: img, 2: img},
                           CodecConfig(), align_alpha=0.0, ratio_override=0.3)
-        assert result.plan.num_links == 2
+        base = optimize(s)
+        assert base.num_links == result.plan.num_links == 2
+        links = base.selected_links()
+        ratio, delays = base.compression.copy(), np.zeros_like(base.delays)
+        for i, j in links:
+            ratio[i, j] = 0.3
+            delays[i, j] = 0.3 * s.data_volumes_bits[i, j] / base.rates[i, j]
+        want = CommPlan(base.link_matrix, ratio, base.rates, delays,
+                        float(sum(delays[i, j] for i, j in links)) / len(links))
+        assert_same_plan(result.plan, want)
         assert plan_matrix_report(result.plan) == reference_matrix_report(result.plan)
 
     @pytest.mark.parametrize("link_dtype", [bool, np.int32])
@@ -321,7 +328,8 @@ class TestPlanMatrixReportBytes:
         link = np.array([[0, 1, 0, 1], [1, 0, 0, 0], [0, 0, 0, 1]], dtype=link_dtype)
         plan = CommPlan(link, values, values * 3.0, values[::-1], -0.0)
         assert plan_matrix_report(plan) == reference_matrix_report(plan)
-        assert "-0.000000 0.000000 nan" in plan_matrix_report(plan)
+        assert plan_matrix_report(plan).splitlines() == [
+            "link matrix", "0 1 0 1", "1 0 0 0", "0 0 0 1", "", "average delay (s): -0"]
 
     @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
     def test_empty_matrices(self, shape):
@@ -329,26 +337,18 @@ class TestPlanMatrixReportBytes:
                         np.zeros(shape), math.nan)
         assert plan_matrix_report(plan) == reference_matrix_report(plan)
 
-    def test_dense_matrix_off_diagonal_base(self):
-        # the first entry is not the most common value; every other one differs
-        rng = np.random.default_rng(9)
-        values = rng.random((5, 7))
-        values[0, 0] = 0.25
-        plan = CommPlan(np.ones((5, 7), dtype=int), values, values * 1e6,
-                        -values, 0.5)
-        assert plan_matrix_report(plan) == reference_matrix_report(plan)
-
 
 class TestWritePlan:
-    """plan.txt is plan_matrix_report's text, encoded one slice at a time."""
+    """plan.txt is plan_matrix_report's text; plan.csv lists the links."""
 
-    def test_report_longer_than_one_slice(self, tmp_path):
+    def test_150_node_plan(self, tmp_path):
         s = random_fleet(150, 16, seed=150)
         plan = optimize(s)
-        report = plan_matrix_report(plan)
-        assert len(report) > 3 * PLAN_TXT_SLICE and len(report) % PLAN_TXT_SLICE
         write_plan(plan, s, tmp_path)
-        assert (tmp_path / "plan.txt").read_bytes() == report.encode()
+        data = (tmp_path / "plan.txt").read_bytes()
+        assert data == plan_matrix_report(plan).encode() == reference_matrix_report(plan).encode()
+        assert len(data.splitlines()) == 150 + 3
+        assert len((tmp_path / "plan.csv").read_text().splitlines()) == 1 + plan.num_links
 
     def test_two_node_plan(self, tmp_path):
         s = two_node(1e6)
@@ -359,7 +359,7 @@ class TestWritePlan:
         assert data.endswith(b"\n") and not data.endswith(b"\n\n")
 
     def test_plan_command_working_set_at_150_nodes(self, tmp_path, capsys):
-        # the scenario's volumes plus about 7 n x n arrays while planning;
+        # the scenario's volumes plus about 6 n x n arrays while planning;
         # the text of the scenario is dropped before planning
         s = random_fleet(150, 16, seed=150)
         path = tmp_path / "fleet.scn"
@@ -372,7 +372,7 @@ class TestWritePlan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * 150 * 150 * 8
+        assert peak <= 8 * 150 * 150 * 8
 
 
 def camera_fleet(outdir: Path, n: int) -> list[str]:
